@@ -510,8 +510,8 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 // TestEngineEventThroughputZeroAlloc asserts the free-list property on the
 // benchmark itself: with event structs recycled, the throughput loop must
 // run at 0 allocs/op (the pool warms once, then every schedule reuses a
-// fired event). This is the regression gate for the old 1 alloc / 48 B
-// per event recorded in BENCH_parallel.json.
+// fired event). This is the regression gate for the 1 alloc / 48 B per
+// event the engine cost before it recycled events.
 func TestEngineEventThroughputZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed assertion; skipped in -short")

@@ -28,8 +28,6 @@ type procDistributor struct {
 	Workers int
 	// Connect lists remote worker addresses running -distserve.
 	Connect []string
-	// Quiet suppresses the per-sweep topology note.
-	Quiet bool
 }
 
 // RunGroups implements experiments.Distributor.
@@ -39,10 +37,8 @@ func (d *procDistributor) RunGroups(kind experiments.SweepKind, cfg experiments.
 		return nil, err
 	}
 	defer cleanup()
-	if !d.Quiet {
-		fmt.Fprintf(os.Stderr, "distsweep: %s sweep, %d groups across %d worker(s) (%d spawned, %d dialed)\n",
-			kind, numGroups, len(conns), d.Workers, len(d.Connect))
-	}
+	fmt.Fprintf(os.Stderr, "distsweep: %s sweep, %d groups across %d worker(s) (%d spawned, %d dialed)\n",
+		kind, numGroups, len(conns), d.Workers, len(d.Connect))
 	co := &distsweep.Coordinator{
 		Conns:     conns,
 		Heartbeat: distHeartbeat,

@@ -1,7 +1,9 @@
-// Worker-failure acceptance test: real worker processes (re-execed test
-// binary), real TCP, real SIGKILL mid-sweep. The invariant under test is
-// the distributed sweep's determinism contract — a worker dying with
-// groups in hand must not change a byte of the merged tables.
+// Distributed-sweep acceptance tests: real worker processes (re-execed
+// test binary), real TCP, and for the failure test a real SIGKILL
+// mid-sweep. The invariant under test is the distributed sweep's
+// determinism contract — neither fanning groups out to worker processes
+// nor a worker dying with groups in hand may change a byte of the merged
+// tables.
 package main
 
 import (
@@ -9,6 +11,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -22,21 +25,57 @@ const (
 	helperEnv      = "EXPERIMENTS_HELPER"
 	helperAddrEnv  = "EXPERIMENTS_HELPER_ADDR"
 	helperStallEnv = "EXPERIMENTS_HELPER_STALL_MS"
+	helperRepsEnv  = "EXPERIMENTS_HELPER_REPS"
 )
 
-// TestMain doubles as the worker entry point: re-execed with
-// EXPERIMENTS_HELPER=worker the test binary dials the coordinator and
-// serves sweep groups — optionally stalling before each group so a
-// SIGKILL deterministically lands while it holds an assignment.
+// TestMain doubles as the entry point of every child process the tests
+// spawn from this binary:
+//   - EXPERIMENTS_HELPER=worker dials the coordinator and serves sweep
+//     groups, optionally stalling before each group so a SIGKILL
+//     deterministically lands while it holds an assignment;
+//   - EXPERIMENTS_HELPER=streamleg runs one streaming-RSS leg and prints
+//     its JSON report (see stream_test.go);
+//   - "-distworker -distconnect ADDR" is the argv procDistributor gives
+//     the workers it spawns from os.Executable(), which under test is
+//     this binary; it serves one sweep the way main does.
 func TestMain(m *testing.M) {
-	if os.Getenv(helperEnv) == "worker" {
-		if err := runHelperWorker(os.Getenv(helperAddrEnv), os.Getenv(helperStallEnv)); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments helper: %v\n", err)
-			os.Exit(1)
+	var err error
+	switch {
+	case os.Getenv(helperEnv) == "worker":
+		err = runHelperWorker(os.Getenv(helperAddrEnv), os.Getenv(helperStallEnv))
+	case os.Getenv(helperEnv) == "streamleg":
+		var reps int
+		if reps, err = strconv.Atoi(os.Getenv(helperRepsEnv)); err == nil {
+			err = runStreamRSSChild(reps)
 		}
-		os.Exit(0)
+	case len(os.Args) == 4 && os.Args[1] == "-distworker" && os.Args[2] == "-distconnect":
+		err = runDistWorker(os.Args[3])
+	default:
+		os.Exit(m.Run())
 	}
-	os.Exit(m.Run())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments helper: %v\n", err)
+		os.Exit(1)
+	}
+	os.Exit(0)
+}
+
+// renderLoadTables renders every Figures 3–6 table plus the paired
+// fractions into one string for byte-level comparison.
+func renderLoadTables(s *experiments.LoadSweep) string {
+	var b []byte
+	for _, util := range s.Utils {
+		b = append(b, fmt.Sprintf("paired %.2f: %.6f\n", util, s.PairedFraction[util])...)
+	}
+	f3a, f3b := s.Fig3Table()
+	f4a, f4b := s.Fig4Table()
+	f5a, f5b := s.Fig5Table()
+	f6a, f6b := s.Fig6Table()
+	for _, t := range []interface{ Render() string }{f3a, f3b, f4a, f4b, f5a, f5b, f6a, f6b} {
+		b = append(b, t.Render()...)
+		b = append(b, '\n')
+	}
+	return string(b)
 }
 
 func runHelperWorker(addr, stallMS string) error {
@@ -174,5 +213,27 @@ func TestWorkerSIGKILLMidSweep(t *testing.T) {
 	}
 	if !death {
 		t.Fatalf("coordinator never observed the worker death; logs: %q", dist.logs)
+	}
+}
+
+// TestDistWorkersMatchInProcess runs a small load sweep in process and
+// again through procDistributor, which spawns two real -distworker
+// processes over loopback TCP; the merged tables must be byte-identical.
+func TestDistWorkersMatchInProcess(t *testing.T) {
+	cfg := experiments.DefaultConfig(1, 0.05)
+	cfg.Reps = 1
+	cfg.Parallelism = 1
+	serial, err := experiments.RunLoadSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	distCfg := cfg
+	distCfg.Dist = &procDistributor{Workers: 2}
+	dist, err := experiments.RunLoadSweep(distCfg)
+	if err != nil {
+		t.Fatalf("sweep across worker processes: %v", err)
+	}
+	if got, want := renderLoadTables(dist), renderLoadTables(serial); got != want {
+		t.Fatalf("tables from 2 worker processes differ from in-process tables:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -7,7 +7,6 @@
 //	experiments -exp fig3 -factor 0.1    # one figure at 10% job count
 //	experiments -exp validate -reps 3
 //	experiments -exp all -parallel 0     # fan cells across every core
-//	experiments -benchout BENCH_parallel.json -factor 0.25 -reps 3
 //
 // Figures come in pairs that share simulations (3–6 share the load sweep,
 // 7–10 the proportion sweep); asking for any figure in a group runs the
@@ -17,9 +16,8 @@
 // workers (0 = one per core, 1 = serial). Each cell derives its traces
 // from its own (point, rep) seed and results are aggregated by cell
 // index, so tables are byte-identical for every -parallel value; only
-// wall-clock time changes. -benchout measures that: it times the load
-// sweep serially and in parallel, verifies the rendered tables match
-// byte-for-byte, and writes a machine-readable perf record.
+// wall-clock time changes. The repo benchmark (perfbench/README.md)
+// measures the sweep; the tests pin its byte-identity.
 package main
 
 import (
@@ -39,43 +37,28 @@ import (
 
 func main() {
 	var (
-		exp           = flag.String("exp", "all", "experiment: validate, fig3..fig10, load, prop, reservation, nway, ablations, or all")
-		seed          = flag.Uint64("seed", 1, "workload random seed")
-		factor        = flag.Float64("factor", 1.0, "job-count scale factor (1.0 = paper scale)")
-		reps          = flag.Int("reps", 1, "repetitions per cell (paper used 10)")
-		svgDir        = flag.String("svg", "", "also render each figure as an SVG into this directory")
-		par           = flag.Int("parallel", 0, "sweep-cell workers: 0 = one per core, 1 = serial, N = at most N")
-		benchOut      = flag.String("benchout", "", "time the load sweep serial vs parallel, verify byte-identical tables, and write a JSON perf record to this path")
-		schedCore     = flag.String("schedcore", "", "scheduler core: incremental (default) or reference")
-		schedBenchOut = flag.String("schedbench", "", "benchmark the scheduler core (reference vs incremental) and write a JSON perf record to this path")
-		schedSmoke    = flag.Bool("schedsmoke", false, "run a tiny load sweep under both scheduler cores and fail unless the rendered tables are byte-identical")
-		journalBench  = flag.String("journalbench", "", "benchmark write-ahead journal decode+replay on a synthetic 10k-transition history and write a JSON perf record to this path")
-		profDir       = flag.String("pprof", "", "write cpu.pprof and allocs.pprof profiles of the run into this directory")
-		megaBench     = flag.String("megabench", "", "benchmark the memory architecture (load-sweep cells/sec + one huge single cell) and write a JSON perf record to this path")
-		benchSuite    = flag.String("benchsuite", "", "run the scientific benchmark suite (warmup + multi-run stats over all five bench families) and write a stable-schema JSON record to this path plus a markdown report alongside")
-		benchQuick    = flag.Bool("quick", false, "benchsuite: smoke protocol (1 warmup, 3 runs, tiny workloads); the record is marked quick and must not be committed as a baseline")
-		benchBaseline = flag.String("benchbaseline", "", "benchsuite: after the run, gate the fresh record against this committed baseline")
-		benchCompare  = flag.String("benchcompare", "", "gate 'baseline.json,current.json' benchsuite records on effect size + CV and exit nonzero on significant slowdown")
-		benchInject   = flag.Float64("benchinject", 0, "benchcompare: multiply the current record's samples by this factor first — CI's deterministic proof that the gate trips")
-		megaJobs      = flag.Int("megajobs", 1_000_000, "Intrepid job count for the -megabench huge cell")
-		gcPercent     = flag.Int("gcpercent", 1000, "GC target percentage (runtime/debug.SetGCPercent); negative leaves the GOGC default")
-		memLimitMiB   = flag.Int64("memlimit", 1536, "soft heap memory limit in MiB (runtime/debug.SetMemoryLimit); 0 or negative leaves it unlimited")
-		distWorker    = flag.Bool("distworker", false, "run as a sweep worker: dial the -distconnect address, serve one sweep, exit")
-		distServe     = flag.String("distserve", "", "run as a standing sweep worker listening on this address (serves one sweep per connection, forever)")
-		distWorkers   = flag.Int("distworkers", 0, "fan sweep groups across N spawned worker processes")
-		distConnect   = flag.String("distconnect", "", "comma-separated worker addresses to dial (workers started with -distserve)")
-		distBench     = flag.String("distbench", "", "benchmark the distributed fan-out and streaming ingestion, verify byte-identical tables and flat RSS, and write a JSON perf record to this path")
-		distSmoke     = flag.Bool("distsmoke", false, "run a tiny load sweep in-process and across 2 worker processes and fail unless the rendered tables are byte-identical")
-		streamRSS     = flag.Int("streamrss", 0, "internal: run the streaming-RSS child with this many trace repetitions and print a JSON report")
-		streamJobs    = flag.Int("streamjobs", 3000, "internal: base month size (jobs) for the -streamrss child")
-		chaosN        = flag.Int("chaoscampaign", 0, "run N seeded deterministic fault-injection campaigns across the journal, peerlink, and distsweep seams, gating robustness invariants")
-		chaosSeed     = flag.Uint64("chaosseed", 1, "chaoscampaign: first campaign seed (seeds are consecutive; a failing seed's printed repro replays it alone)")
-		chaosInject   = flag.Bool("chaosinject", false, "chaoscampaign: corrupt one distsweep row before the byte-identity gate — CI's deterministic proof the campaign fails loudly")
+		exp         = flag.String("exp", "all", "experiment: validate, fig3..fig10, load, prop, reservation, nway, ablations, or all")
+		seed        = flag.Uint64("seed", 1, "workload random seed")
+		factor      = flag.Float64("factor", 1.0, "job-count scale factor (1.0 = paper scale)")
+		reps        = flag.Int("reps", 1, "repetitions per cell (paper used 10)")
+		svgDir      = flag.String("svg", "", "also render each figure as an SVG into this directory")
+		par         = flag.Int("parallel", 0, "sweep-cell workers: 0 = one per core, 1 = serial, N = at most N")
+		schedCore   = flag.String("schedcore", "", "scheduler core: incremental (default) or reference")
+		profDir     = flag.String("pprof", "", "write cpu.pprof and allocs.pprof profiles of the run into this directory")
+		gcPercent   = flag.Int("gcpercent", 1000, "GC target percentage (runtime/debug.SetGCPercent); negative leaves the GOGC default")
+		memLimitMiB = flag.Int64("memlimit", 1536, "soft heap memory limit in MiB (runtime/debug.SetMemoryLimit); 0 or negative leaves it unlimited")
+		distWorker  = flag.Bool("distworker", false, "run as a sweep worker: dial the -distconnect address, serve one sweep, exit")
+		distServe   = flag.String("distserve", "", "run as a standing sweep worker listening on this address (serves one sweep per connection, forever)")
+		distWorkers = flag.Int("distworkers", 0, "fan sweep groups across N spawned worker processes")
+		distConnect = flag.String("distconnect", "", "comma-separated worker addresses to dial (workers started with -distserve)")
+		chaosN      = flag.Int("chaoscampaign", 0, "run N seeded deterministic fault-injection campaigns across the journal, peerlink, and distsweep seams, gating robustness invariants")
+		chaosSeed   = flag.Uint64("chaosseed", 1, "chaoscampaign: first campaign seed (seeds are consecutive; a failing seed's printed repro replays it alone)")
+		chaosInject = flag.Bool("chaosinject", false, "chaoscampaign: corrupt one distsweep row before the byte-identity gate — CI's deterministic proof the campaign fails loudly")
 	)
 	flag.Parse()
 
-	// Worker / child modes dispatch before anything else: they are spawned
-	// by a coordinator process and speak JSON on their socket or stdout.
+	// Worker modes dispatch before anything else: they are spawned by a
+	// coordinator process and speak JSON on their socket.
 	if *distWorker {
 		addrs := splitAddrs(*distConnect)
 		if len(addrs) != 1 {
@@ -95,21 +78,15 @@ func main() {
 		}
 		return
 	}
-	if *streamRSS > 0 {
-		if err := runStreamRSSChild(*streamRSS, *streamJobs); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: streamrss: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	// The arena/free-list memory architecture keeps the live set small and
 	// bounded, so the default GOGC=100 collects far too eagerly: with a
 	// few-MiB live heap the sweep spends ~30% of CPU in GC marking and
 	// write barriers. A relaxed target raises the headroom between
 	// collections; the soft memory limit is the backstop that forces
-	// collection pressure back up before RSS can approach the -megabench
-	// budget (2 GiB), which is why GOGC=off would be wrong here.
+	// collection pressure back up before RSS can approach the 2 GiB
+	// budget that TestMegaCellHH holds a 100k-job cell to, which is why
+	// GOGC=off would be wrong here.
 	if *gcPercent >= 0 {
 		debug.SetGCPercent(*gcPercent)
 	}
@@ -133,73 +110,10 @@ func main() {
 		}
 		defer stop()
 	}
-	if *benchCompare != "" {
-		if err := runBenchCompare(*benchCompare, *benchInject); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: benchcompare: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchSuite != "" {
-		if err := runBenchSuite(*benchSuite, *benchQuick, *benchBaseline); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: benchsuite: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *megaBench != "" {
-		if err := runMegaBench(cfg, *megaBench, *megaJobs); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: megabench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
-	if *distBench != "" {
-		if err := runDistBench(cfg, *distBench, *distWorkers); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: distbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *chaosN > 0 {
 		if err := runChaosCampaign(*chaosN, *chaosSeed, *chaosInject); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: chaoscampaign: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *distSmoke {
-		if err := runDistSmoke(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: distsmoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *schedSmoke {
-		if err := runSchedSmoke(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: schedsmoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *journalBench != "" {
-		if err := runJournalBench(*journalBench); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: journalbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *schedBenchOut != "" {
-		if err := runSchedBench(cfg, *schedBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: schedbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchOut != "" {
-		if err := runParBench(cfg, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: benchout: %v\n", err)
 			os.Exit(1)
 		}
 		return

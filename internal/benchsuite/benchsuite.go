@@ -1,58 +1,19 @@
-// Package benchsuite is the scientific benchmark harness: warmup runs,
-// N timed measurement runs, order statistics with sample stddev and CV,
-// machine-info capture, and an effect-size regression gate against a
-// committed baseline. It wraps the existing experiment benchmark bodies
-// (parallel sweep, scheduler iteration, journal decode/replay, mega
-// cells, distributed sweep) behind one Benchmark interface and emits a
-// stable-schema JSON record plus a markdown report.
+// Package benchsuite holds the measurement statistics and machine capture
+// that the repo benchmark (perfbench/, see perfbench/README.md) records:
+// order statistics with sample stddev and CV over repeated runs, and the
+// environment the runs were measured on.
 //
-// This package reads the wall clock by design (it times real
-// executions); it is exempt from simlint R2 alongside internal/live.
+// The package reads no wall clock: callers time their own runs and pass
+// the samples in, so simlint R2 covers it like any simulation package.
 package benchsuite
 
 import (
-	"encoding/json"
-	"fmt"
-	"math"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"time"
 )
 
-// SchemaVersion identifies the BENCH_suite.json layout. Bump only on
-// incompatible changes; the gate refuses to compare across versions.
-const SchemaVersion = "cosched-benchsuite/v1"
-
-// Benchmark is one measured workload. Setup (optional) runs once,
-// untimed, before any repetition; Run executes one measured repetition
-// and its wall-clock duration is the sample.
-type Benchmark struct {
-	Name  string
-	Setup func() error
-	Run   func() error
-}
-
-// Config controls the measurement protocol.
-type Config struct {
-	// Warmup repetitions run and are discarded before measuring, to
-	// populate caches, JIT the branch predictors, and trigger the
-	// first-use allocations that would otherwise pollute run 1.
-	Warmup int
-	// Runs is the number of measured repetitions per benchmark.
-	Runs int
-	// Quick marks a smoke-test configuration (small factors, few runs).
-	// It is recorded in the output so a quick record is never mistaken
-	// for a committed baseline.
-	Quick bool
-	// Logf, if set, receives one progress line per benchmark.
-	Logf func(format string, args ...any)
-}
-
-// Machine captures the environment a record was measured on. Comparing
-// records from different machines is still allowed (the gate works on
-// effect sizes, not absolute times) but the report surfaces both.
+// Machine captures the environment a record was measured on, so records
+// from different machines can be told apart.
 type Machine struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -75,235 +36,5 @@ func CaptureMachine() Machine {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GCPercent:  gc,
-	}
-}
-
-// Measurement is one benchmark's raw samples and their summary.
-type Measurement struct {
-	Name       string    `json:"name"`
-	RunSeconds []float64 `json:"run_seconds"`
-	Stats      Stats     `json:"stats"`
-}
-
-// Record is the full suite output — the schema of BENCH_suite.json.
-type Record struct {
-	Schema     string        `json:"schema"`
-	Quick      bool          `json:"quick"`
-	Warmup     int           `json:"warmup"`
-	Runs       int           `json:"runs"`
-	Machine    Machine       `json:"machine"`
-	Benchmarks []Measurement `json:"benchmarks"`
-}
-
-// Run executes the suite under cfg and returns the record. Benchmarks
-// run in the given order; a Setup or Run error aborts the whole suite
-// (a partial record would silently weaken the gate's coverage).
-func Run(cfg Config, benches []Benchmark) (*Record, error) {
-	if cfg.Runs < 1 {
-		return nil, fmt.Errorf("benchsuite: Runs must be >= 1, got %d", cfg.Runs)
-	}
-	if cfg.Warmup < 0 {
-		return nil, fmt.Errorf("benchsuite: Warmup must be >= 0, got %d", cfg.Warmup)
-	}
-	rec := &Record{
-		Schema:  SchemaVersion,
-		Quick:   cfg.Quick,
-		Warmup:  cfg.Warmup,
-		Runs:    cfg.Runs,
-		Machine: CaptureMachine(),
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	for _, b := range benches {
-		if b.Name == "" || b.Run == nil {
-			return nil, fmt.Errorf("benchsuite: benchmark with empty name or nil Run")
-		}
-		if b.Setup != nil {
-			if err := b.Setup(); err != nil {
-				return nil, fmt.Errorf("benchsuite: %s setup: %w", b.Name, err)
-			}
-		}
-		for i := 0; i < cfg.Warmup; i++ {
-			if err := b.Run(); err != nil {
-				return nil, fmt.Errorf("benchsuite: %s warmup %d: %w", b.Name, i+1, err)
-			}
-		}
-		samples := make([]float64, 0, cfg.Runs)
-		for i := 0; i < cfg.Runs; i++ {
-			start := time.Now()
-			err := b.Run()
-			elapsed := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("benchsuite: %s run %d: %w", b.Name, i+1, err)
-			}
-			samples = append(samples, elapsed.Seconds())
-		}
-		st := Compute(samples)
-		rec.Benchmarks = append(rec.Benchmarks, Measurement{
-			Name: b.Name, RunSeconds: samples, Stats: st,
-		})
-		logf("  %-16s p50 %s  p95 %s  cv %.1f%%  (%d warmup + %d runs)",
-			b.Name, fmtSeconds(st.P50Seconds), fmtSeconds(st.P95Seconds),
-			st.CV*100, cfg.Warmup, cfg.Runs)
-	}
-	return rec, nil
-}
-
-// Validate checks a record's internal consistency: schema version, raw
-// samples present and finite for every benchmark, summary stats
-// recomputable from the samples, unique names, machine info captured.
-// It is the suite's self-check after writing and re-reading its own
-// JSON, and the gate's guard against hand-edited baselines.
-func (r *Record) Validate() error {
-	if r.Schema != SchemaVersion {
-		return fmt.Errorf("schema %q, want %q", r.Schema, SchemaVersion)
-	}
-	if r.Runs < 1 {
-		return fmt.Errorf("runs %d < 1", r.Runs)
-	}
-	if r.Machine.GOOS == "" || r.Machine.GoVersion == "" || r.Machine.NumCPU < 1 {
-		return fmt.Errorf("machine info incomplete: %+v", r.Machine)
-	}
-	if len(r.Benchmarks) == 0 {
-		return fmt.Errorf("no benchmarks")
-	}
-	seen := make(map[string]bool, len(r.Benchmarks))
-	for _, m := range r.Benchmarks {
-		if m.Name == "" {
-			return fmt.Errorf("benchmark with empty name")
-		}
-		if seen[m.Name] {
-			return fmt.Errorf("duplicate benchmark %q", m.Name)
-		}
-		seen[m.Name] = true
-		if len(m.RunSeconds) != r.Runs {
-			return fmt.Errorf("%s: %d samples, want %d", m.Name, len(m.RunSeconds), r.Runs)
-		}
-		for i, v := range m.RunSeconds {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return fmt.Errorf("%s: sample %d is %g", m.Name, i, v)
-			}
-		}
-		want := Compute(m.RunSeconds)
-		if !statsClose(m.Stats, want) {
-			return fmt.Errorf("%s: stats do not match samples: have %+v, recomputed %+v",
-				m.Name, m.Stats, want)
-		}
-	}
-	return nil
-}
-
-// statsClose compares summaries within a relative epsilon — JSON
-// round-trips floats exactly (Go encodes shortest-repr), but the slack
-// keeps Validate robust if a future encoder rounds.
-func statsClose(a, b Stats) bool {
-	if a.Runs != b.Runs {
-		return false
-	}
-	close := func(x, y float64) bool {
-		d := math.Abs(x - y)
-		return d <= 1e-9 || d <= 1e-9*math.Max(math.Abs(x), math.Abs(y))
-	}
-	return close(a.MinSeconds, b.MinSeconds) && close(a.P50Seconds, b.P50Seconds) &&
-		close(a.P95Seconds, b.P95Seconds) && close(a.P99Seconds, b.P99Seconds) &&
-		close(a.MaxSeconds, b.MaxSeconds) && close(a.Mean, b.Mean) &&
-		close(a.Stddev, b.Stddev) && close(a.CV, b.CV)
-}
-
-// Measurement lookup by name; nil if absent.
-func (r *Record) find(name string) *Measurement {
-	for i := range r.Benchmarks {
-		if r.Benchmarks[i].Name == name {
-			return &r.Benchmarks[i]
-		}
-	}
-	return nil
-}
-
-// Names returns the benchmark names in record order.
-func (r *Record) Names() []string {
-	names := make([]string, len(r.Benchmarks))
-	for i, m := range r.Benchmarks {
-		names[i] = m.Name
-	}
-	return names
-}
-
-// WriteFile marshals the record (indented, trailing newline) to path.
-func (r *Record) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadFile loads and validates a record.
-func ReadFile(path string) (*Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Record
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: invalid benchsuite record: %w", path, err)
-	}
-	return &r, nil
-}
-
-// InjectSlowdown returns a copy of the record with every sample (and the
-// recomputed stats) multiplied by factor. It exists so CI can prove the
-// regression gate trips: comparing a baseline against its own synthetic
-// slowdown must fail, deterministically, with no wall-clock dependence.
-func (r *Record) InjectSlowdown(factor float64) *Record {
-	out := *r
-	out.Benchmarks = make([]Measurement, len(r.Benchmarks))
-	for i, m := range r.Benchmarks {
-		scaled := make([]float64, len(m.RunSeconds))
-		for j, v := range m.RunSeconds {
-			scaled[j] = v * factor
-		}
-		out.Benchmarks[i] = Measurement{
-			Name: m.Name, RunSeconds: scaled, Stats: Compute(scaled),
-		}
-	}
-	return &out
-}
-
-// sortedNames returns the union of benchmark names across records,
-// baseline order first, then current-only names sorted.
-func sortedNames(base, cur *Record) []string {
-	var names []string
-	seen := make(map[string]bool)
-	for _, m := range base.Benchmarks {
-		names = append(names, m.Name)
-		seen[m.Name] = true
-	}
-	var extra []string
-	for _, m := range cur.Benchmarks {
-		if !seen[m.Name] {
-			extra = append(extra, m.Name)
-		}
-	}
-	sort.Strings(extra)
-	return append(names, extra...)
-}
-
-// fmtSeconds renders a duration with sensible units for human output.
-func fmtSeconds(s float64) string {
-	switch {
-	case s >= 1:
-		return fmt.Sprintf("%.2fs", s)
-	case s >= 1e-3:
-		return fmt.Sprintf("%.2fms", s*1e3)
-	case s >= 1e-6:
-		return fmt.Sprintf("%.1fµs", s*1e6)
-	default:
-		return fmt.Sprintf("%.0fns", s*1e9)
 	}
 }

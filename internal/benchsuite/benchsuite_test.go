@@ -1,10 +1,7 @@
 package benchsuite
 
 import (
-	"encoding/json"
 	"math"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -46,257 +43,5 @@ func TestComputeEdgeCases(t *testing.T) {
 	st := Compute([]float64{7})
 	if st.Runs != 1 || st.MinSeconds != 7 || st.P99Seconds != 7 || st.Stddev != 0 || st.CV != 0 {
 		t.Fatalf("single value: %+v", st)
-	}
-}
-
-func TestCohenD(t *testing.T) {
-	a := Compute([]float64{10, 11, 12, 11, 10})
-	// Identical distributions: d = 0.
-	if d := CohenD(a, a); d != 0 {
-		t.Fatalf("d(self) = %g", d)
-	}
-	// A 2x shift on this tight sample is an enormous effect.
-	b := Compute([]float64{20, 22, 24, 22, 20})
-	if d := CohenD(a, b); d < 5 {
-		t.Fatalf("d(2x slowdown) = %g, want large positive", d)
-	}
-	if d := CohenD(b, a); d > -5 {
-		t.Fatalf("d(2x speedup) = %g, want large negative", d)
-	}
-	// Zero pooled variance, different means → ±Inf.
-	z1, z2 := Compute([]float64{1, 1, 1}), Compute([]float64{2, 2, 2})
-	if d := CohenD(z1, z2); !math.IsInf(d, 1) {
-		t.Fatalf("d(zero-variance slowdown) = %g, want +Inf", d)
-	}
-	if d := CohenD(z1, z1); d != 0 {
-		t.Fatalf("d(zero-variance identical) = %g, want 0", d)
-	}
-}
-
-// The runner must execute Setup once, Warmup discarded repetitions, then
-// exactly Runs measured repetitions, in order.
-func TestRunnerProtocol(t *testing.T) {
-	var setups, runs int
-	rec, err := Run(Config{Warmup: 2, Runs: 3}, []Benchmark{{
-		Name:  "counting",
-		Setup: func() error { setups++; return nil },
-		Run:   func() error { runs++; return nil },
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if setups != 1 {
-		t.Fatalf("setup ran %d times", setups)
-	}
-	if runs != 5 {
-		t.Fatalf("run executed %d times, want 2 warmup + 3 measured", runs)
-	}
-	if len(rec.Benchmarks) != 1 || len(rec.Benchmarks[0].RunSeconds) != 3 {
-		t.Fatalf("record: %+v", rec)
-	}
-	if err := rec.Validate(); err != nil {
-		t.Fatalf("fresh record does not self-validate: %v", err)
-	}
-	if rec.Machine.NumCPU < 1 || rec.Machine.GoVersion == "" {
-		t.Fatalf("machine info not captured: %+v", rec.Machine)
-	}
-}
-
-func TestRunnerRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Runs: 0}, nil); err == nil {
-		t.Fatal("Runs=0 accepted")
-	}
-	if _, err := Run(Config{Runs: 1}, []Benchmark{{Name: ""}}); err == nil {
-		t.Fatal("unnamed benchmark accepted")
-	}
-}
-
-func TestRecordJSONRoundTrip(t *testing.T) {
-	rec, err := Run(Config{Warmup: 1, Runs: 3, Quick: true}, []Benchmark{
-		{Name: "alpha", Run: func() error { return nil }},
-		{Name: "beta", Run: func() error { return nil }},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_suite.json")
-	if err := rec.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(rec)
-	b, _ := json.Marshal(back)
-	if string(a) != string(b) {
-		t.Fatalf("round trip changed record:\n%s\n%s", a, b)
-	}
-	if !back.Quick {
-		t.Fatal("quick flag lost in round trip")
-	}
-}
-
-func TestValidateRejectsCorruptRecords(t *testing.T) {
-	mk := func() *Record {
-		rec, err := Run(Config{Runs: 2}, []Benchmark{
-			{Name: "x", Run: func() error { return nil }},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec
-	}
-	cases := map[string]func(*Record){
-		"wrong schema":    func(r *Record) { r.Schema = "bogus/v0" },
-		"missing samples": func(r *Record) { r.Benchmarks[0].RunSeconds = nil },
-		"NaN sample":      func(r *Record) { r.Benchmarks[0].RunSeconds[0] = math.NaN() },
-		"negative sample": func(r *Record) { r.Benchmarks[0].RunSeconds[0] = -1 },
-		"stale stats":     func(r *Record) { r.Benchmarks[0].Stats.Mean *= 3; r.Benchmarks[0].Stats.Mean += 1 },
-		"no machine":      func(r *Record) { r.Machine = Machine{} },
-		"dup names":       func(r *Record) { r.Benchmarks = append(r.Benchmarks, r.Benchmarks[0]) },
-	}
-	for name, corrupt := range cases {
-		r := mk()
-		corrupt(r)
-		if err := r.Validate(); err == nil {
-			t.Errorf("%s: corrupt record validated", name)
-		}
-	}
-}
-
-// synthetic builds a record with fixed samples, bypassing the runner, so
-// gate tests are deterministic.
-func synthetic(runs int, families map[string][]float64) *Record {
-	rec := &Record{Schema: SchemaVersion, Runs: runs, Machine: CaptureMachine()}
-	names := make([]string, 0, len(families))
-	for n := range families {
-		names = append(names, n)
-	}
-	// Deterministic order for report/verdict comparisons.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	for _, n := range names {
-		s := families[n]
-		rec.Benchmarks = append(rec.Benchmarks, Measurement{
-			Name: n, RunSeconds: s, Stats: Compute(s),
-		})
-	}
-	return rec
-}
-
-func TestGatePassesOnIdenticalRecords(t *testing.T) {
-	base := synthetic(5, map[string][]float64{
-		"sched":   {1.00, 1.02, 0.98, 1.01, 0.99},
-		"journal": {0.50, 0.51, 0.49, 0.50, 0.50},
-	})
-	verdicts, failed := Compare(base, base, DefaultThresholds())
-	if failed {
-		t.Fatalf("self-comparison failed: %+v", verdicts)
-	}
-	for _, v := range verdicts {
-		if v.Status != StatusOK {
-			t.Fatalf("%s: status %s on self-comparison", v.Name, v.Status)
-		}
-	}
-}
-
-func TestGateFailsOnSyntheticSlowdown(t *testing.T) {
-	base := synthetic(5, map[string][]float64{
-		"sched":   {1.00, 1.02, 0.98, 1.01, 0.99},
-		"journal": {0.50, 0.51, 0.49, 0.50, 0.50},
-	})
-	slow := base.InjectSlowdown(1.5)
-	if err := slow.Validate(); err != nil {
-		t.Fatalf("injected record invalid: %v", err)
-	}
-	verdicts, failed := Compare(base, slow, DefaultThresholds())
-	if !failed {
-		t.Fatalf("50%% slowdown passed the gate: %+v", verdicts)
-	}
-	for _, v := range verdicts {
-		if v.Status != StatusRegression {
-			t.Fatalf("%s: status %s, want regression", v.Name, v.Status)
-		}
-	}
-	// And the mirror image is a speedup, not a failure.
-	verdicts, failed = Compare(slow, base, DefaultThresholds())
-	if failed {
-		t.Fatalf("speedup failed the gate: %+v", verdicts)
-	}
-	for _, v := range verdicts {
-		if v.Status != StatusFaster {
-			t.Fatalf("%s: status %s, want faster", v.Name, v.Status)
-		}
-	}
-}
-
-func TestGateToleratesNoiseAndFlagsCoverage(t *testing.T) {
-	base := synthetic(5, map[string][]float64{
-		"steady": {1.00, 1.01, 0.99, 1.00, 1.00},
-		"noisy":  {1.0, 2.5, 0.4, 1.8, 0.6},
-		"gone":   {1, 1, 1, 1, 1},
-	})
-	cur := synthetic(5, map[string][]float64{
-		"steady": {1.00, 1.00, 1.01, 0.99, 1.00},
-		"noisy":  {2.0, 5.0, 0.8, 3.6, 1.2}, // 2x slower but CV way over ceiling
-		"fresh":  {1, 1, 1, 1, 1},
-	})
-	verdicts, failed := Compare(base, cur, DefaultThresholds())
-	byName := map[string]Verdict{}
-	for _, v := range verdicts {
-		byName[v.Name] = v
-	}
-	if got := byName["noisy"].Status; got != StatusNoisy {
-		t.Fatalf("noisy: %s", got)
-	}
-	if got := byName["fresh"].Status; got != StatusNew {
-		t.Fatalf("fresh: %s", got)
-	}
-	if got := byName["gone"].Status; got != StatusMissing {
-		t.Fatalf("gone: %s", got)
-	}
-	if !failed {
-		t.Fatal("losing a benchmark from the suite must fail the gate")
-	}
-	out := FormatVerdicts(verdicts, failed)
-	if !strings.Contains(out, "RESULT: FAIL") || !strings.Contains(out, "coverage lost") {
-		t.Fatalf("verdict formatting:\n%s", out)
-	}
-}
-
-// A small honest slowdown under a noisy baseline must NOT gate — the
-// CV-scaled envelope is the whole point.
-func TestGateNoiseEnvelope(t *testing.T) {
-	base := synthetic(5, map[string][]float64{
-		"wobbly": {1.00, 1.15, 0.90, 1.10, 0.95}, // CV ≈ 10%
-	})
-	cur := synthetic(5, map[string][]float64{
-		"wobbly": {1.05, 1.20, 0.95, 1.15, 1.00}, // +5%: inside 2×CV envelope
-	})
-	verdicts, failed := Compare(base, cur, DefaultThresholds())
-	if failed || verdicts[0].Status != StatusOK {
-		t.Fatalf("5%% shift on 10%%-CV benchmark gated: %+v", verdicts[0])
-	}
-}
-
-func TestReportDeterministic(t *testing.T) {
-	rec := synthetic(5, map[string][]float64{
-		"alpha": {1.0, 1.1, 0.9, 1.05, 0.95},
-		"beta":  {0.001, 0.0011, 0.0009, 0.001, 0.001},
-	})
-	r1, r2 := rec.Report(), rec.Report()
-	if r1 != r2 {
-		t.Fatal("report not deterministic")
-	}
-	for _, want := range []string{"| alpha |", "| beta |", "p95", "GOMAXPROCS", "sample form"} {
-		if !strings.Contains(r1, want) {
-			t.Fatalf("report missing %q:\n%s", want, r1)
-		}
 	}
 }

@@ -1,4 +1,4 @@
-// Statistics for the scientific benchmark harness. Everything here uses
+// Statistics for the repo benchmark's repeated runs. Everything here uses
 // the *sample* standard deviation (÷ n−1, Bessel's correction), because
 // the measurement runs are a sample of the benchmark's latency
 // distribution, not the whole population — the opposite convention from
@@ -25,8 +25,7 @@ type Stats struct {
 	Stddev float64 `json:"sample_stddev_seconds"`
 	// CV is the coefficient of variation, Stddev/Mean: the run-to-run
 	// noise as a fraction of the measurement itself. A CV above ~0.10
-	// means the machine was too noisy for tight comparisons; the gate
-	// widens (or refuses) accordingly.
+	// means the machine was too noisy for tight comparisons.
 	CV float64 `json:"cv"`
 }
 
@@ -88,32 +87,4 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// CohenD is the standardized effect size of current vs baseline: the mean
-// difference in units of the pooled sample standard deviation. Positive
-// means current is slower. |d| < 0.2 is conventionally negligible,
-// 0.2–0.5 small, 0.5–0.8 medium, ≥ 0.8 large; the regression gate keys
-// off the large threshold so single noisy runs cannot trip it.
-//
-// With identical variance-free samples d is 0; with zero pooled variance
-// but different means it is ±Inf (any shift is infinitely many stddevs).
-func CohenD(base, cur Stats) float64 {
-	diff := cur.Mean - base.Mean
-	var pooledVar float64
-	dof := float64(base.Runs + cur.Runs - 2)
-	if dof > 0 {
-		pooledVar = (float64(base.Runs-1)*base.Stddev*base.Stddev +
-			float64(cur.Runs-1)*cur.Stddev*cur.Stddev) / dof
-	}
-	if pooledVar > 0 {
-		return diff / math.Sqrt(pooledVar)
-	}
-	if diff > 0 {
-		return math.Inf(1)
-	}
-	if diff < 0 {
-		return math.Inf(-1)
-	}
-	return 0
 }

@@ -6,13 +6,13 @@ import (
 	"cosched/internal/workload"
 )
 
-// MegaTraces is one frozen giant workload instance for the -megabench
-// single-cell stress run: the Intrepid trace scaled to a requested job
-// count (paper scale is 9,219 jobs/month; a million-job cell packs ~108
-// months of arrivals into the same span), the matching Eureka trace at the
-// target utilization, both captured as immutable snapshots so the
-// simulated cell exercises the exact copy-on-write materialization path
-// the sweeps use.
+// MegaTraces is one frozen giant workload instance for the single-cell
+// stress runs (cmd/experiments TestMegaCellHH and perfbench's long cell):
+// the Intrepid trace scaled to a requested job count (paper scale is 9,219
+// jobs/month; a million-job cell packs ~108 months of arrivals into the
+// same span), the matching Eureka trace at the target utilization, both
+// captured as immutable snapshots so the simulated cell exercises the
+// exact copy-on-write materialization path the sweeps use.
 type MegaTraces struct {
 	pair tracePair
 	// IntrepidJobs and EurekaJobs are the realized trace lengths (the

@@ -14,9 +14,10 @@ const hotpathDirective = "//simlint:hotpath"
 // the allocation builtins append and make are findings. The marked
 // functions are the per-event spine (engine scheduling, arena handout,
 // policy ordering, metric absorption) that the memory architecture keeps
-// allocation-free at steady state; the property is benchmarked by the
-// zero-alloc assertions and -megabench, but a benchmark only catches the
-// regression after the fact — this rule catches it at lint time.
+// allocation-free at steady state; the property is asserted by the
+// zero-alloc tests and measured by perfbench's mem.allocs_per_job, but
+// both only catch the regression after the fact — this rule catches it
+// at lint time.
 // Amortized container growth (slab, heap, and free-list doubling) is the
 // sanctioned exception and carries //simlint:allow R6 with the
 // amortization argument.

@@ -50,7 +50,7 @@ func BenchmarkIterateChurn(b *testing.B) {
 }
 
 // TestSteadyScenarioSettles pins the shared benchmark scenario's invariants
-// so the committed BENCH_sched.json numbers stay comparable across changes:
+// so BenchmarkIterate numbers stay comparable across changes:
 // the blocked queue never drains and the skip-cache engages on the
 // incremental core.
 func TestSteadyScenarioSettles(t *testing.T) {
