@@ -41,8 +41,8 @@ go test -run=NONE -bench=Fig -benchtime=1x .
 # Scheduler-core gate: the reference and incremental cores must stay
 # byte-identical. The differential sweep tests rerun under -race (cells fan
 # out across goroutines) with full invariant auditing, and the bench pass
-# drives one Iterate per benchmark cell (steady and churn, every queue
-# depth) on both cores.
+# drives one op per benchmark cell (FCFS steady and churn, WFP planning
+# churn, every queue depth) on both cores.
 go test -race -run 'SchedCoreDifferential' ./internal/experiments ./internal/coupled
 go test -run=NONE -bench=Iterate -benchtime=1x ./internal/resmgr
 
@@ -70,10 +70,12 @@ go test -race -count=2 -run 'Crash|Drain|Flag' ./cmd/coschedd
 go test -run '^$' -fuzz 'FuzzDecodeEntries' -fuzztime 10s ./internal/journal
 go test -run '^$' -bench 'LifecycleReplay10k' -benchtime=1x ./internal/journal
 
-# Debug-build hardening: the backfill sortedness asserts and the
-# invariant package's fail-fast deadlock monitor only compile under
-# -tags debug; run their suites together with the asserts live.
-go test -tags debug ./internal/invariant ./internal/backfill
+# Debug-build hardening: the backfill sortedness asserts, the resource
+# manager's order asserts (every planning order equals a cold sort; the
+# indexed queue's slot positions match the queue) and the invariant
+# package's fail-fast deadlock monitor only compile under -tags debug; run
+# their suites together with the asserts live.
+go test -tags debug ./internal/invariant ./internal/backfill ./internal/resmgr
 
 # Distributed-sweep gate: the coordinator/worker protocol (heartbeats,
 # failure detection, deterministic re-dispatch) reruns under -race, the
@@ -92,16 +94,17 @@ go test -race -run 'WorkerSIGKILLMidSweep|DistWorkersMatchInProcess' ./cmd/exper
 # snapshot/arena/free-list path must leave no job stuck and keep peak RSS
 # under 2 GiB, and a 50x SWF month streamed in a fresh child process must
 # complete every job at no more than 1.35x the peak RSS of a 5x month.
-# Then the steady-state zero-alloc assertions (engine event churn and the
-# EASY planner must report 0 allocs/op) and one uncached run of the
-# scheduler throughput benchmarks. Throughput itself is NOT gated here:
+# Then the steady-state zero-alloc assertions (engine event churn, the
+# EASY planner and the WFP planning iteration must report 0 allocs/op) and
+# one uncached run of the scheduler throughput benchmarks. Throughput itself is NOT gated here:
 # perfbench/ (perfbench/README.md) measures it. -pprof leaves cpu/alloc
 # profiles of a small load sweep behind as build artifacts for regression
 # hunts.
 go test -count=1 -run 'MegaCellHH|StreamingRSSFlat' ./cmd/experiments
 go run ./cmd/experiments -pprof /tmp/ci_pprof -exp load -factor 0.05 -reps 1
 go test -run 'ZeroAlloc|WithoutAllocating' -count=1 \
-    . ./internal/sim ./internal/arena ./internal/backfill ./internal/workload
+    . ./internal/sim ./internal/arena ./internal/backfill ./internal/workload \
+    ./internal/resmgr
 go test -run=NONE -bench 'EngineEventThroughput' -benchtime=100x -count=1 .
 
 # Chaos-campaign gate: 25 deterministic fault-injection campaigns from a

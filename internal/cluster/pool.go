@@ -42,13 +42,16 @@ var (
 )
 
 // Allocation records one grant of nodes. Allocated is ≥ Requested when the
-// partition constraint rounds up.
+// partition constraint rounds up. The allocation itself is the handle that
+// Release and Convert take.
 type Allocation struct {
 	ID        int64
 	Requested int
 	Allocated int
 	Kind      AllocKind
 	Since     sim.Time
+
+	pool *Pool // granting pool while live; nil once released
 }
 
 // Pool is the node allocator for one domain. It is not safe for concurrent
@@ -67,7 +70,7 @@ type Pool struct {
 	free    int
 	held    int // subset of busy nodes that are held, not running
 	nextID  int64
-	allocs  map[int64]*Allocation
+	live    int           // allocations granted and not yet released
 	freed   []*Allocation // released structs recycled by the next Allocate
 	lastT   sim.Time
 	busyInt int64 // ∫ busy(t) dt in node-seconds (includes held)
@@ -80,10 +83,9 @@ func New(name string, total int) *Pool {
 		panic(fmt.Sprintf("cluster: pool %q total must be positive, got %d", name, total))
 	}
 	return &Pool{
-		name:   name,
-		total:  total,
-		free:   total,
-		allocs: make(map[int64]*Allocation),
+		name:  name,
+		total: total,
+		free:  total,
 	}
 }
 
@@ -144,12 +146,13 @@ func (p *Pool) CanAllocate(n int) bool {
 }
 
 // Allocate grants n nodes of the given kind at virtual time now. The
-// returned allocation ID is used to Release or Convert.
+// returned allocation is the handle passed to Release or Convert.
 //
 // Allocation structs are recycled: a pointer obtained from Allocate is
 // valid only until its Release, after which the next Allocate may reuse
 // the struct for an unrelated grant. Callers must not retain it past that
-// point (the resource manager drops its entry in the same event).
+// point (the resource manager drops its handle in the same event). A
+// released handle is refused until then, so a double release errors.
 func (p *Pool) Allocate(now sim.Time, n int, kind AllocKind) (*Allocation, error) {
 	if n <= 0 || n > p.total {
 		return nil, fmt.Errorf("%w: %d nodes from pool of %d", ErrBadRequest, n, p.total)
@@ -172,24 +175,37 @@ func (p *Pool) Allocate(now sim.Time, n int, kind AllocKind) (*Allocation, error
 	} else {
 		a = new(Allocation)
 	}
-	*a = Allocation{ID: p.nextID, Requested: n, Allocated: charge, Kind: kind, Since: now}
-	p.allocs[a.ID] = a
+	*a = Allocation{ID: p.nextID, Requested: n, Allocated: charge, Kind: kind, Since: now, pool: p}
+	p.live++
 	return a, nil
 }
 
-// Release returns an allocation's nodes to the free pool. The Allocation
-// struct goes back on the recycle list — see Allocate's retention contract.
-func (p *Pool) Release(now sim.Time, id int64) error {
-	a, ok := p.allocs[id]
-	if !ok {
-		return fmt.Errorf("%w: id %d", ErrUnknownAlloc, id)
+// owns reports whether a is a live allocation granted by this pool.
+func (p *Pool) owns(a *Allocation) bool { return a != nil && a.pool == p }
+
+// unknown describes a handle the pool does not own for ErrUnknownAlloc.
+func unknown(a *Allocation) error {
+	if a == nil {
+		return fmt.Errorf("%w: nil", ErrUnknownAlloc)
+	}
+	return fmt.Errorf("%w: id %d", ErrUnknownAlloc, a.ID)
+}
+
+// Release returns an allocation's nodes to the free pool. A handle this
+// pool did not grant, or one already released, is an ErrUnknownAlloc. The
+// Allocation struct goes back on the recycle list — see Allocate's
+// retention contract.
+func (p *Pool) Release(now sim.Time, a *Allocation) error {
+	if !p.owns(a) {
+		return unknown(a)
 	}
 	p.integrate(now)
 	p.free += a.Allocated
 	if a.Kind == AllocHold {
 		p.held -= a.Allocated
 	}
-	delete(p.allocs, id)
+	a.pool = nil
+	p.live--
 	// The pool is single-threaded (engine-serialized), so same-event reads
 	// of the released struct remain valid until the next Allocate reuses it.
 	p.freed = append(p.freed, a)
@@ -199,10 +215,9 @@ func (p *Pool) Release(now sim.Time, id int64) error {
 // Convert switches an allocation between hold and run in place (used when a
 // holding job's mate becomes ready and the job starts on the nodes it
 // already occupies). It returns the allocation for convenience.
-func (p *Pool) Convert(now sim.Time, id int64, kind AllocKind) (*Allocation, error) {
-	a, ok := p.allocs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: id %d", ErrUnknownAlloc, id)
+func (p *Pool) Convert(now sim.Time, a *Allocation, kind AllocKind) (*Allocation, error) {
+	if !p.owns(a) {
+		return nil, unknown(a)
 	}
 	if a.Kind == kind {
 		return a, nil
@@ -219,7 +234,7 @@ func (p *Pool) Convert(now sim.Time, id int64, kind AllocKind) (*Allocation, err
 }
 
 // Allocations returns the number of live allocations.
-func (p *Pool) Allocations() int { return len(p.allocs) }
+func (p *Pool) Allocations() int { return p.live }
 
 // integrate advances the utilization integrals to now.
 func (p *Pool) integrate(now sim.Time) {

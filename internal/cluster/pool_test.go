@@ -15,7 +15,7 @@ func TestAllocateRelease(t *testing.T) {
 	if p.Free() != 60 || p.Busy() != 40 || p.Running() != 40 || p.Held() != 0 {
 		t.Fatalf("after allocate: %s", p)
 	}
-	if err := p.Release(10, a.ID); err != nil {
+	if err := p.Release(10, a); err != nil {
 		t.Fatal(err)
 	}
 	if p.Free() != 100 || p.Allocations() != 0 {
@@ -43,10 +43,29 @@ func TestAllocateBadRequest(t *testing.T) {
 	}
 }
 
+// Release refuses every handle that is not a live grant of this pool: nil,
+// one granted by another pool, and one already released (double release),
+// and a refused release leaves the accounting untouched.
 func TestReleaseUnknown(t *testing.T) {
 	p := New("test", 10)
-	if err := p.Release(0, 42); !errors.Is(err, ErrUnknownAlloc) {
-		t.Fatalf("err = %v, want ErrUnknownAlloc", err)
+	other, err := New("other", 10).Allocate(0, 2, AllocRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Allocate(0, 3, AllocHold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(1, a); err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]*Allocation{"nil": nil, "foreign": other, "released": a} {
+		if err := p.Release(2, h); !errors.Is(err, ErrUnknownAlloc) {
+			t.Errorf("%s: err = %v, want ErrUnknownAlloc", name, err)
+		}
+	}
+	if p.Free() != 10 || p.Held() != 0 || p.Allocations() != 0 {
+		t.Fatalf("refused releases changed the pool: %s, %d live", p, p.Allocations())
 	}
 }
 
@@ -63,7 +82,7 @@ func TestHeldAccounting(t *testing.T) {
 		t.Fatalf("held fraction = %g, want 0.3", got)
 	}
 	// Convert hold → run (mate became ready).
-	if _, err := p.Convert(50, h.ID, AllocRun); err != nil {
+	if _, err := p.Convert(50, h, AllocRun); err != nil {
 		t.Fatal(err)
 	}
 	if p.Held() != 0 || p.Running() != 30 {
@@ -87,11 +106,21 @@ func TestHeldAccounting(t *testing.T) {
 func TestConvertIdempotentAndUnknown(t *testing.T) {
 	p := New("test", 10)
 	a, _ := p.Allocate(0, 4, AllocRun)
-	if _, err := p.Convert(0, a.ID, AllocRun); err != nil {
+	if _, err := p.Convert(0, a, AllocRun); err != nil {
 		t.Fatalf("same-kind convert: %v", err)
 	}
-	if _, err := p.Convert(0, 999, AllocHold); !errors.Is(err, ErrUnknownAlloc) {
-		t.Fatalf("err = %v, want ErrUnknownAlloc", err)
+	other, _ := New("other", 10).Allocate(0, 4, AllocRun)
+	if _, err := p.Convert(0, other, AllocHold); !errors.Is(err, ErrUnknownAlloc) {
+		t.Fatalf("foreign handle: err = %v, want ErrUnknownAlloc", err)
+	}
+	if err := p.Release(0, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Convert(0, a, AllocHold); !errors.Is(err, ErrUnknownAlloc) {
+		t.Fatalf("released handle: err = %v, want ErrUnknownAlloc", err)
+	}
+	if p.Held() != 0 {
+		t.Fatalf("refused convert changed held accounting: %s", p)
 	}
 }
 
@@ -144,14 +173,14 @@ func TestPoolInvariantsProperty(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		p := New("q", 64)
-		var live []int64
+		var live []*Allocation
 		now := int64(0)
 		for _, o := range ops {
 			now++
 			if o.Rel && len(live) > 0 {
-				id := live[0]
+				a := live[0]
 				live = live[1:]
-				if err := p.Release(now, id); err != nil {
+				if err := p.Release(now, a); err != nil {
 					return false
 				}
 			} else {
@@ -162,7 +191,7 @@ func TestPoolInvariantsProperty(t *testing.T) {
 				}
 				a, err := p.Allocate(now, n, kind)
 				if err == nil {
-					live = append(live, a.ID)
+					live = append(live, a)
 				}
 			}
 			if p.Free() < 0 || p.Free() > p.Total() {
@@ -171,7 +200,7 @@ func TestPoolInvariantsProperty(t *testing.T) {
 			if p.Held() > p.Busy() || p.Held() < 0 {
 				return false
 			}
-			if p.Free()+p.Busy() != p.Total() {
+			if p.Free()+p.Busy() != p.Total() || p.Allocations() != len(live) {
 				return false
 			}
 		}

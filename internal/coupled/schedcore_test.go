@@ -30,7 +30,7 @@ var schedCoreScenarios = []schedCoreScenario{
 	// Fully incremental: sorted queue + maintained timeline + across-instant skips.
 	{name: "fcfs_easy_walltime_HH", policy: "fcfs", mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Hold, release: 10 * sim.Minute},
-	// Time-varying policy: queuePos index + full sort per iteration.
+	// Time-varying policy: indexed queue + warm-started in-place sort per iteration.
 	{name: "wfp_easy_walltime_HY", policy: "wfp", mode: "easy", estimator: "walltime",
 		schemeA: cosched.Hold, schemeB: cosched.Yield, release: 10 * sim.Minute},
 	// Conservative planner: skips must stay same-instant.

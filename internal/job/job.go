@@ -82,8 +82,10 @@ func ParseState(s string) (State, error) {
 	}
 }
 
-// validNext enumerates the legal lifecycle transitions.
-var validNext = map[State][]State{
+// validNext enumerates the legal lifecycle transitions, indexed by the
+// current state: Advance runs on every lifecycle event, so the table is an
+// array rather than a map.
+var validNext = [...][]State{
 	Unsubmitted: {Queued, Cancelled},
 	Queued:      {Holding, Running, Cancelled},
 	Holding:     {Running, Queued, Cancelled},
@@ -129,6 +131,13 @@ type Job struct {
 	HeldNodeSeconds int64 // ∑ nodes × seconds spent in Holding (service-unit loss)
 	FirstReadyTime  sim.Time
 	EverReady       bool // FirstReadyTime is meaningful only when true
+
+	// Slot indexes the dense per-job state (queue position, allocation,
+	// completion event, yield stamp) of the resource manager the job is
+	// active in; 0 while the job is not queued, holding or running there.
+	// Owned by the resource manager. It sits in EverReady's padding, so
+	// the record stays 160 bytes.
+	Slot int32
 }
 
 // New constructs a queued-job request. Walltime defaults to Runtime when
@@ -175,10 +184,12 @@ func (j *Job) Paired() bool { return len(j.Mates) > 0 }
 // transition. Timestamps are the caller's responsibility; Advance only
 // guards legality.
 func (j *Job) Advance(next State) error {
-	for _, ok := range validNext[j.State] {
-		if next == ok {
-			j.State = next
-			return nil
+	if uint(j.State) < uint(len(validNext)) {
+		for _, ok := range validNext[j.State] {
+			if next == ok {
+				j.State = next
+				return nil
+			}
 		}
 	}
 	return fmt.Errorf("job %d: illegal transition %s → %s", j.ID, j.State, next)
@@ -261,6 +272,7 @@ func (j *Job) Clone() *Job {
 	c := *j
 	c.Mates = append([]MateRef(nil), j.Mates...)
 	c.State = Unsubmitted
+	c.Slot = 0
 	c.StartTime, c.EndTime, c.HoldStart = 0, 0, 0
 	c.YieldCount, c.HoldCount = 0, 0
 	c.HeldNodeSeconds = 0

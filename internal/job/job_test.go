@@ -3,6 +3,7 @@ package job
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cosched/internal/sim"
 )
@@ -42,6 +43,8 @@ func TestLifecycleRejectsIllegalTransitions(t *testing.T) {
 		{Completed, Running},
 		{Holding, Completed},
 		{Holding, Unsubmitted},
+		{State(-1), Queued},     // out of the transition table's range
+		{Cancelled + 1, Queued}, // likewise
 	}
 	for _, c := range cases {
 		j := New(1, 4, 0, 10, 10)
@@ -136,6 +139,16 @@ func TestSyncTime(t *testing.T) {
 	}
 }
 
+// The job record is the unit of a simulation's memory: the workload
+// snapshot, the arena and every manager hold one per job. The resource
+// manager's Slot index sits in EverReady's padding; a field that grows the
+// record shows up in every sweep's setup time and peak RSS.
+func TestJobRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Job{}); got > 160 {
+		t.Fatalf("unsafe.Sizeof(Job{}) = %d bytes, want ≤ 160", got)
+	}
+}
+
 func TestCloneResetsState(t *testing.T) {
 	j := New(1, 4, 50, 10, 20)
 	j.Mates = []MateRef{{Domain: "b", Job: 7}}
@@ -143,10 +156,11 @@ func TestCloneResetsState(t *testing.T) {
 	j.StartTime = 99
 	j.YieldCount = 3
 	j.HeldNodeSeconds = 1234
+	j.Slot = 5
 	j.MarkReady(60)
 	c := j.Clone()
 	if c.State != Unsubmitted || c.StartTime != 0 || c.YieldCount != 0 ||
-		c.HeldNodeSeconds != 0 || c.EverReady {
+		c.HeldNodeSeconds != 0 || c.EverReady || c.Slot != 0 {
 		t.Fatalf("clone did not reset state: %+v", c)
 	}
 	if len(c.Mates) != 1 || c.Mates[0].Job != 7 {

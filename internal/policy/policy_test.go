@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -307,6 +309,92 @@ func TestOrdererBufferReuseAcrossNestedCalls(t *testing.T) {
 	fourth := o.Order(FCFS{}, q2, 1000, nil)
 	if &fourth[0] != &third[0] {
 		t.Fatal("Orderer did not reuse the grown buffer for a smaller call")
+	}
+}
+
+// Property: the adaptive sortScored returns exactly what slices.SortFunc
+// under Precedes returns, on random, nearly sorted and reversed inputs of
+// many sizes. Scores and submit times are drawn from small ranges so ties
+// fall through to every level of the comparator. Nearly sorted inputs must
+// finish in the insertion pass; a long reversed input is past the shift
+// budget, so the quicksort fallback runs and must agree too.
+func TestSortScoredMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cmp := func(a, b scored) int {
+		switch {
+		case Precedes(a.s, a.j, b.s, b.j):
+			return -1
+		case Precedes(b.s, b.j, a.s, a.j):
+			return 1
+		}
+		return 0
+	}
+	gen := func(n int) []scored {
+		s := make([]scored, n)
+		for i := range s {
+			s[i] = scored{j: mkjob(job.ID(i+1), 1, sim.Time(rng.Intn(8)), 600), s: float64(rng.Intn(6))}
+		}
+		rng.Shuffle(n, func(a, b int) { s[a], s[b] = s[b], s[a] })
+		return s
+	}
+	check := func(name string, in []scored, wantFallback int) {
+		t.Helper()
+		want := slices.Clone(in)
+		slices.SortFunc(want, cmp)
+		got := slices.Clone(in)
+		fell := sortScored(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s (n=%d): position %d holds job %d, want %d", name, len(in), i, got[i].j.ID, want[i].j.ID)
+			}
+		}
+		if wantFallback >= 0 && fell != (wantFallback == 1) {
+			t.Fatalf("%s (n=%d): quicksort fallback = %v, want %v", name, len(in), fell, wantFallback == 1)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 3, 15, 16, 17, 40, 100, 333, 1000} {
+		for rep := 0; rep < 5; rep++ {
+			in := gen(n)
+			check("random", in, -1)
+
+			sorted := slices.Clone(in)
+			slices.SortFunc(sorted, cmp)
+			near := slices.Clone(sorted)
+			for k := 0; k < n/50+1 && n > 1; k++ { // a few adjacent swaps
+				i := rng.Intn(n - 1)
+				near[i], near[i+1] = near[i+1], near[i]
+			}
+			check("nearly sorted", near, 0)
+
+			reversed := slices.Clone(sorted)
+			slices.Reverse(reversed)
+			fallback := -1
+			if n >= 100 { // n(n-1)/2 inversions exceed the budget
+				fallback = 1
+			}
+			check("reversed", reversed, fallback)
+		}
+	}
+}
+
+// Orderer.Sort reorders the slice it is given into exactly Order's result,
+// from any starting permutation, warm or cold.
+func TestOrdererSortInPlaceMatchesOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	q := make([]*job.Job, 200)
+	for i := range q {
+		q[i] = mkjob(job.ID(i+1), rng.Intn(64)+1, sim.Time(rng.Intn(5000)), sim.Duration(rng.Intn(7200)+60))
+	}
+	var o, ref Orderer
+	for _, now := range []sim.Time{5000, 5001, 9000, 20000} {
+		want := ref.Order(WFP{}, q, now, nil)
+		o.Sort(WFP{}, q, now, nil) // q keeps the previous order: a warm start
+		for i := range want {
+			if q[i] != want[i] {
+				t.Fatalf("now=%d: in-place order differs at %d: job %d, want %d", now, i, q[i].ID, want[i].ID)
+			}
+		}
+		rng.Shuffle(len(q)/4, func(a, b int) { q[a], q[b] = q[b], q[a] }) // perturb the head
 	}
 }
 

@@ -18,13 +18,18 @@ import (
 //   - a release timeline, kept in the planners' canonical sorted order and
 //     updated on job start/completion/cancel, replacing the per-iteration
 //     running-map range + sort;
-//   - a queue index: O(1) membership/removal for time-varying policies, and
-//     for time-invariant ones (FCFS, SJF, LargestFirst) a queue kept
-//     canonically ordered by binary-search insertion so the per-iteration
-//     full sort disappears;
+//   - a queue index: for time-invariant policies (FCFS, SJF, LargestFirst)
+//     a queue kept canonically ordered by binary-search insertion so the
+//     per-iteration full sort disappears; for time-varying ones (WFP,
+//     FairShare) O(1) removal through each job's slot position, with every
+//     iteration's canonical order written back into the queue storage so
+//     the next iteration's adaptive sort starts from an almost-sorted
+//     slice;
 //   - an iteration skip-cache that fingerprints every planner input and
 //     skips planning when the previous iteration at the identical state
-//     produced an empty plan.
+//     produced an empty plan, plus a no-fit exit that returns the empty
+//     plan without scoring, sorting or planning when no eligible job fits
+//     the free nodes (EASY and no backfill).
 //
 // The reference core preserves the original allocate-and-sort path; the
 // differential tests assert both cores produce byte-identical results.
@@ -121,55 +126,45 @@ func (m *Manager) queueRank(j *job.Job) int {
 	})
 }
 
-// enqueue appends j to the queue, keeping the canonical order in sorted
-// mode and the position index in indexed mode.
+// enqueue appends a bound job to the queue, keeping the canonical order in
+// sorted mode and the slot position in indexed mode.
 func (m *Manager) enqueue(j *job.Job) {
 	m.queueV++
-	if m.sortedQueue {
+	switch {
+	case m.sortedQueue:
 		idx := m.queueRank(j)
 		m.queue = append(m.queue, nil)
 		copy(m.queue[idx+1:], m.queue[idx:])
 		m.queue[idx] = j
-		return
+	case m.indexedQueue:
+		m.listAdd(&m.queue, j)
+	default:
+		m.queue = append(m.queue, j)
 	}
-	if m.queuePos != nil {
-		m.queuePos[j.ID] = len(m.queue)
-	}
-	m.queue = append(m.queue, j)
 }
 
-// removeFromQueue deletes a job from the queue. Sorted mode locates it by
-// binary search and shifts (order must be preserved — it IS the schedule
-// order); indexed mode looks up the position and swap-removes, which is
-// safe because storage order is invisible there: every iteration
-// canonicalizes through Orderer.Order before planning. The reference core
+// removeFromQueue deletes a queued job from the queue. Sorted mode locates
+// it by binary search and shifts (order must be preserved — it IS the
+// schedule order); indexed mode swap-removes at the slot position, which
+// is safe because storage order is invisible there: every iteration sorts
+// the storage into canonical order before planning. The reference core
 // keeps the original linear order-preserving scan.
-func (m *Manager) removeFromQueue(id job.ID) {
+func (m *Manager) removeFromQueue(j *job.Job) {
 	switch {
 	case m.sortedQueue:
-		idx := m.queueRank(m.jobs[id])
-		if idx < len(m.queue) && m.queue[idx].ID == id {
+		idx := m.queueRank(j)
+		if idx < len(m.queue) && m.queue[idx] == j {
 			copy(m.queue[idx:], m.queue[idx+1:])
 			m.queue[len(m.queue)-1] = nil
 			m.queue = m.queue[:len(m.queue)-1]
 			m.queueV++
 		}
-	case m.queuePos != nil:
-		idx, ok := m.queuePos[id]
-		if !ok {
-			return
-		}
-		last := len(m.queue) - 1
-		moved := m.queue[last]
-		m.queue[idx] = moved
-		m.queuePos[moved.ID] = idx
-		m.queue[last] = nil
-		m.queue = m.queue[:last]
-		delete(m.queuePos, id)
+	case m.indexedQueue:
+		m.listRemove(&m.queue, j)
 		m.queueV++
 	default:
 		for i, q := range m.queue {
-			if q.ID == id {
+			if q == j {
 				m.queue = append(m.queue[:i], m.queue[i+1:]...)
 				m.queueV++
 				return
@@ -202,7 +197,7 @@ func (m *Manager) timelineInsert(r backfill.Release) {
 
 // timelineRemove deletes one entry equal to r. Entries are plain values,
 // so any member of an equal-(EndBy,Nodes) run is interchangeable; removal
-// needs no job identity, only the endBy the runEntry recorded at insert.
+// needs no job identity, only the endBy the job's slot recorded at insert.
 func (m *Manager) timelineRemove(r backfill.Release) {
 	idx := m.timelineKeyAt(r)
 	if idx >= len(m.timeline) || m.timeline[idx] != r {
@@ -223,29 +218,31 @@ func (m *Manager) timelineRemove(r backfill.Release) {
 // StartTime+Runtime <= StartTime+Walltime removes the entry first.
 func (m *Manager) timelineRebuild(now sim.Time) {
 	m.timeline = m.timeline[:0]
-	for id, re := range m.running {
-		if re.endBy <= now {
-			re.endBy = m.jobs[id].StartTime + m.jobs[id].Walltime
+	for _, j := range m.running {
+		s := &m.slots[j.Slot]
+		if s.endBy <= now {
+			s.endBy = j.StartTime + j.Walltime
 		}
-		m.timeline = append(m.timeline, backfill.Release{Nodes: re.alloc.Allocated, EndBy: re.endBy})
+		m.timeline = append(m.timeline, backfill.Release{Nodes: s.alloc.Allocated, EndBy: s.endBy})
 	}
-	backfill.SortReleases(m.timeline) // map range order is random; canonicalize
+	backfill.SortReleases(m.timeline) // running-list order is arbitrary; canonicalize
 	m.timelineV++
 }
 
-// runReleaseAdd records a newly running job in the maintained timeline
-// (no-op when the timeline is rebuilt per iteration instead).
-func (m *Manager) runReleaseAdd(re *runEntry, j *job.Job) {
-	re.endBy = j.StartTime + m.est.Estimate(j)
+// runReleaseAdd records a newly running job (its slot, allocation set) in
+// the maintained timeline (no-op when the timeline is rebuilt per
+// iteration instead).
+func (m *Manager) runReleaseAdd(s *jobSlot) {
+	s.endBy = s.j.StartTime + m.est.Estimate(s.j)
 	if m.maintainTL {
-		m.timelineInsert(backfill.Release{Nodes: re.alloc.Allocated, EndBy: re.endBy})
+		m.timelineInsert(backfill.Release{Nodes: s.alloc.Allocated, EndBy: s.endBy})
 	}
 }
 
 // runReleaseDrop removes a no-longer-running job's timeline entry.
-func (m *Manager) runReleaseDrop(re *runEntry) {
+func (m *Manager) runReleaseDrop(s *jobSlot) {
 	if m.maintainTL {
-		m.timelineRemove(backfill.Release{Nodes: re.alloc.Allocated, EndBy: re.endBy})
+		m.timelineRemove(backfill.Release{Nodes: s.alloc.Allocated, EndBy: s.endBy})
 	}
 }
 
@@ -253,7 +250,7 @@ func (m *Manager) runReleaseDrop(re *runEntry) {
 // sorted order. The maintained timeline is returned by reference (zero
 // copies, zero sorts at steady state); otherwise — reference core, or an
 // unstable estimator whose predictions drift between iterations — the list
-// is rebuilt from the running map into the reusable buffer and sorted,
+// is rebuilt from the running list into the reusable buffer and sorted,
 // exactly the reference semantics.
 func (m *Manager) planReleases(now sim.Time) []backfill.Release {
 	if m.maintainTL {
@@ -263,8 +260,7 @@ func (m *Manager) planReleases(now sim.Time) []backfill.Release {
 		return m.timeline
 	}
 	releases := m.releasesBuf[:0]
-	for id, re := range m.running {
-		j := m.jobs[id]
+	for _, j := range m.running {
 		// Plan with the estimator's runtime; once a running job outlives
 		// its prediction, correct to the walltime bound (Tsafrir-style
 		// prediction correction) — treating it as "about to finish"
@@ -275,7 +271,7 @@ func (m *Manager) planReleases(now sim.Time) []backfill.Release {
 			endBy = j.StartTime + j.Walltime
 		}
 		releases = append(releases, backfill.Release{
-			Nodes: re.alloc.Allocated,
+			Nodes: m.slots[j.Slot].alloc.Allocated,
 			EndBy: endBy,
 		})
 	}

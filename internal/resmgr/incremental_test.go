@@ -2,6 +2,7 @@ package resmgr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cosched/internal/cluster"
@@ -12,9 +13,10 @@ import (
 )
 
 // checkQueueIndex asserts the queue structures are consistent with the live
-// job set after an arbitrary Submit/Cancel history: exact membership, the
-// position index pointing at the right slots (indexed mode), and storage
-// order agreeing with the canonical policy order (sorted mode).
+// job set after an arbitrary Submit/Cancel history: exact membership, every
+// queued job's slot position pointing at it (indexed mode), one bound slot
+// per queued job and none for a cancelled one, and storage order agreeing
+// with the canonical policy order (sorted mode).
 func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job) {
 	t.Helper()
 	if len(m.queue) != len(live) {
@@ -29,14 +31,25 @@ func checkQueueIndex(t *testing.T, m *Manager, live map[job.ID]*job.Job) {
 			t.Fatalf("job %d appears twice in queue", q.ID)
 		}
 		seen[q.ID] = true
-		if m.queuePos != nil {
-			if idx, ok := m.queuePos[q.ID]; !ok || idx != i {
-				t.Fatalf("queuePos[%d] = %d,%v; job is at %d", q.ID, idx, ok, i)
+		s := m.slotOf(q)
+		if s == nil {
+			t.Fatalf("queued job %d at %d has no slot", q.ID, i)
+		}
+		if m.indexedQueue && s.pos != i {
+			t.Fatalf("slot position of job %d = %d; job is at %d", q.ID, s.pos, i)
+		}
+	}
+	bound := 0
+	for _, s := range m.slots[1:] {
+		if s.j != nil {
+			bound++
+			if _, ok := live[s.j.ID]; !ok {
+				t.Fatalf("cancelled job %d still holds a slot", s.j.ID)
 			}
 		}
 	}
-	if m.queuePos != nil && len(m.queuePos) != len(m.queue) {
-		t.Fatalf("queuePos has %d entries, queue has %d", len(m.queuePos), len(m.queue))
+	if bound != len(m.queue) {
+		t.Fatalf("%d bound slots, queue has %d", bound, len(m.queue))
 	}
 	if m.sortedQueue {
 		var ord policy.Orderer
@@ -250,7 +263,7 @@ func TestSkipCacheSkipsAndInvalidates(t *testing.T) {
 // semantics: no skip-cache, no maintained structures.
 func TestReferenceCoreNeverSkips(t *testing.T) {
 	_, m, _ := steadyBlocked(t, CoreReference)
-	if m.sortedQueue || m.maintainTL || m.acrossInstant || m.queuePos != nil {
+	if m.sortedQueue || m.indexedQueue || m.maintainTL || m.acrossInstant {
 		t.Fatalf("reference core enabled incremental structures")
 	}
 	for i := 0; i < 5; i++ {
@@ -258,5 +271,62 @@ func TestReferenceCoreNeverSkips(t *testing.T) {
 	}
 	if m.Skips() != 0 {
 		t.Fatalf("reference core skipped %d iterations", m.Skips())
+	}
+}
+
+// TestNoFitExitSkipsOrderingAndArmsCache pins the no-fit exit on a WFP
+// (indexed-queue) manager: while no queued job fits the free nodes, an
+// iteration returns before sorting (the queue storage keeps its
+// submission order) yet records the empty plan, so a repeat at the same
+// instant is a skip; once jobs fit, the iteration orders the queue and
+// starts the WFP head. Under conservative backfilling the exit does not
+// apply, so the sort runs.
+func TestNoFitExitSkipsOrderingAndArmsCache(t *testing.T) {
+	for _, mode := range []BackfillMode{BackfillEASY, BackfillNone, BackfillConservative} {
+		eng := sim.NewEngine()
+		m := New(eng, Options{
+			Name: "w", Pool: cluster.New("w", 100),
+			Policy: policy.WFP{}, Backfilling: mode != BackfillNone, Mode: mode,
+		})
+		filler := job.New(1, 90, 0, 100000, 100000)
+		if err := m.Submit(filler); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(0)
+		// Walltimes descend with ID, so at any later instant the WFP order
+		// is the reverse of submission order.
+		for id := job.ID(2); id <= 7; id++ {
+			if err := m.Submit(job.New(id, 30, 0, 600, sim.Duration(5000-100*id))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.RunUntil(0)
+		storage := func() []job.ID {
+			out := make([]job.ID, len(m.queue))
+			for i, j := range m.queue {
+				out[i] = j.ID
+			}
+			return out
+		}
+		before, skips := storage(), m.Skips()
+		m.Iterate(50)
+		if got := storage(); slices.Equal(got, before) == (mode == BackfillConservative) {
+			t.Fatalf("%v: queue storage %v after an empty iteration (was %v)", mode, got, before)
+		}
+		m.Iterate(50)
+		if got := m.Skips() - skips; got != 1 {
+			t.Fatalf("%v: repeat of an empty iteration at the same instant skipped %d times, want 1", mode, got)
+		}
+
+		if err := m.Cancel(filler.ID); err != nil {
+			t.Fatal(err)
+		}
+		m.Iterate(60)
+		for id := job.ID(2); id <= 7; id++ {
+			j, _ := m.Job(id)
+			if want := id >= 5; (j.State == job.Running) != want {
+				t.Fatalf("%v: job %d is %s; want the three shortest walltimes (5-7) running", mode, id, j.State)
+			}
+		}
 	}
 }

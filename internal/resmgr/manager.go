@@ -92,19 +92,21 @@ func (NullObserver) JobReleased(sim.Time, *job.Job, bool) {}
 // JobCancelled implements Observer.
 func (NullObserver) JobCancelled(sim.Time, *job.Job) {}
 
-// runEntry tracks a running job's allocation, completion event, and the
-// release bound the planners were told (endBy), which doubles as the key
-// for removing the job's entry from the maintained sorted timeline.
-type runEntry struct {
-	alloc *cluster.Allocation
-	end   sim.EventRef
+// jobSlot is the manager-owned state of one active (queued, holding or
+// running) job, reached through the job's Slot index instead of hashing
+// its ID on every lifecycle event.
+type jobSlot struct {
+	j     *job.Job
+	alloc *cluster.Allocation // run or hold allocation; nil while queued
+	end   sim.EventRef        // completion event while running
+	// endBy is the release bound the planners were told while running,
+	// which doubles as the key of the job's maintained timeline entry.
 	endBy sim.Time
-}
-
-// holdEntry tracks a holding job's allocation. Release timing is handled
-// by the manager-wide release scan, not per-entry timers.
-type holdEntry struct {
-	alloc *cluster.Allocation
+	// pos is the job's index in m.running or m.holding, by state; while
+	// queued, its index in m.queue in indexed-queue mode.
+	pos     int
+	yieldAt sim.Time // instant of the job's last yield here; -1 if none
+	demoted bool     // ranked last for the current iteration
 }
 
 // BackfillMode selects the planner strategy.
@@ -173,18 +175,32 @@ type Manager struct {
 
 	peers map[string]cosched.Peer
 
+	// jobs serves lookups by ID (Cancel, Job, the peer methods); the
+	// lifecycle path reaches a job's state through its slot instead.
 	jobs map[job.ID]*job.Job
 	// all mirrors jobs in insertion order. Jobs() iterates it instead of
 	// the map so downstream consumers (streaming metrics, audits) see a
 	// deterministic order without sorting; nothing is ever removed from
 	// the registry, so the two stay in lockstep.
-	all     []*job.Job
-	queue   []*job.Job
-	running map[job.ID]*runEntry
-	holding map[job.ID]*holdEntry
+	all   []*job.Job
+	queue []*job.Job
+	// running and holding list the jobs in those states in no particular
+	// order; each job's slot records its index for O(1) swap-removal.
+	running []*job.Job
+	holding []*job.Job
 
-	demoted     map[job.ID]bool // ranked last for the current iteration
-	lastYieldAt map[job.ID]sim.Time
+	// slots holds the dense per-job state of every active job, indexed by
+	// job.Slot. slots[0] is never bound, so Slot 0 means "not active
+	// here"; freeSlots recycles the indexes of jobs that ended.
+	slots     []jobSlot
+	freeSlots []int32
+
+	// lastYield is the instant of the most recent yield (-1 before the
+	// first): Iterate scans the queue for same-instant yielders only when
+	// it is now. demoting is set for the one iteration in which the
+	// release scan's requeued holders (slots marked demoted) rank last.
+	lastYield sim.Time
+	demoting  bool
 
 	// releaseScan is the single armed timer implementing the periodic
 	// hold-release enhancement; it fires when the longest-held job
@@ -204,29 +220,33 @@ type Manager struct {
 	holdBudget   int
 	holdsRefused uint64
 
-	// ord, releasesBuf, eligBuf, and planBuf are reusable per-iteration
-	// buffers; Iterate runs on every queue/pool change, so allocating them
-	// fresh each time is a measurable share of a simulation's allocation
-	// bill. boostFn and estFn pin the bound-method closures once instead
-	// of re-creating (and heap-allocating) them every iteration.
+	// ord, releasesBuf, eligBuf, planBuf and dueBuf are reusable
+	// per-iteration buffers; Iterate runs on every queue/pool change, so
+	// allocating them fresh each time is a measurable share of a
+	// simulation's allocation bill. boostFn and estFn pin the bound-method
+	// closures once instead of re-creating (and heap-allocating) them
+	// every iteration.
 	ord         policy.Orderer
 	releasesBuf []backfill.Release
 	eligBuf     []*job.Job
 	planBuf     []backfill.Decision
+	dueBuf      []*job.Job
 	boostFn     policy.Boost
 	estFn       backfill.EstimateFunc
 
 	// Incremental core state (see Core in incremental.go). The mode flags
 	// are fixed at construction: sortedQueue keeps the queue canonically
-	// ordered (time-invariant policy, yield-boost off); queuePos indexes
-	// positions for O(1) removal otherwise; maintainTL keeps the release
-	// timeline sorted across iterations (stable estimator); acrossInstant
-	// widens the skip-cache beyond a single simulated instant.
+	// ordered (time-invariant policy, yield-boost off); indexedQueue
+	// otherwise, with slot positions for O(1) removal and the storage left
+	// in the last canonical order to warm-start the next sort; maintainTL
+	// keeps the release timeline sorted across iterations (stable
+	// estimator); acrossInstant widens the skip-cache beyond a single
+	// simulated instant.
 	core          Core
 	sortedQueue   bool
+	indexedQueue  bool
 	maintainTL    bool
 	acrossInstant bool
-	queuePos      map[job.ID]int
 	timeline      []backfill.Release
 
 	queueV, timelineV, yieldV uint64
@@ -244,12 +264,6 @@ type Manager struct {
 	releaseFn  sim.Handler    // releaseScanFire method value, pinned once
 	submitFn   sim.ArgHandler // trace-replay submission (arg = *job.Job)
 	completeFn sim.ArgHandler // job completion (arg = *job.Job)
-
-	// freeRun and freeHold recycle the per-start bookkeeping entries, so
-	// steady-state start/complete churn allocates nothing (the pool
-	// recycles the Allocation structs the same way).
-	freeRun  []*runEntry
-	freeHold []*holdEntry
 
 	// Chained trace replay (SubmitTrace): the sorted trace, the cursor to
 	// the next unsubmitted job, and the pinned chain handler.
@@ -274,40 +288,54 @@ type Manager struct {
 	folded           int
 }
 
-// newRunEntry returns a zeroed runEntry, recycled when one is available.
-func (m *Manager) newRunEntry(alloc *cluster.Allocation) *runEntry {
-	if k := len(m.freeRun); k > 0 {
-		re := m.freeRun[k-1]
-		m.freeRun[k-1] = nil
-		m.freeRun = m.freeRun[:k-1]
-		*re = runEntry{alloc: alloc}
-		return re
+// bind gives j a slot as it becomes active here (submission or restore),
+// recycling the slot of a job that ended when one is free.
+func (m *Manager) bind(j *job.Job) {
+	var s int32
+	if k := len(m.freeSlots); k > 0 {
+		s = m.freeSlots[k-1]
+		m.freeSlots = m.freeSlots[:k-1]
+	} else {
+		m.slots = append(m.slots, jobSlot{})
+		s = int32(len(m.slots) - 1)
 	}
-	return &runEntry{alloc: alloc}
+	m.slots[s] = jobSlot{j: j, yieldAt: -1}
+	j.Slot = s
 }
 
-// recycleRun returns a runEntry removed from the running set to the free
-// list. The caller must already have deleted it from m.running.
-func (m *Manager) recycleRun(re *runEntry) {
-	*re = runEntry{}
-	m.freeRun = append(m.freeRun, re)
+// unbind frees j's slot as it reaches a terminal state.
+func (m *Manager) unbind(j *job.Job) {
+	m.slots[j.Slot] = jobSlot{}
+	m.freeSlots = append(m.freeSlots, j.Slot)
+	j.Slot = 0
 }
 
-// newHoldEntry and recycleHold are the holdEntry counterparts.
-func (m *Manager) newHoldEntry(alloc *cluster.Allocation) *holdEntry {
-	if k := len(m.freeHold); k > 0 {
-		he := m.freeHold[k-1]
-		m.freeHold[k-1] = nil
-		m.freeHold = m.freeHold[:k-1]
-		*he = holdEntry{alloc: alloc}
-		return he
+// slotOf returns j's slot, or nil when j is not active in this manager.
+// Paths that may see a job another manager owns, or one that ended, check
+// through it; paths that know j is active here index m.slots directly.
+func (m *Manager) slotOf(j *job.Job) *jobSlot {
+	if s := j.Slot; s > 0 && int(s) < len(m.slots) && m.slots[s].j == j {
+		return &m.slots[s]
 	}
-	return &holdEntry{alloc: alloc}
+	return nil
 }
 
-func (m *Manager) recycleHold(he *holdEntry) {
-	*he = holdEntry{}
-	m.freeHold = append(m.freeHold, he)
+// listAdd appends an active job to m.running or m.holding (or the indexed
+// queue), recording its index in its slot.
+func (m *Manager) listAdd(list *[]*job.Job, j *job.Job) {
+	m.slots[j.Slot].pos = len(*list)
+	*list = append(*list, j)
+}
+
+// listRemove swap-removes j from the list listAdd put it in.
+func (m *Manager) listRemove(list *[]*job.Job, j *job.Job) {
+	l := *list
+	idx, last := m.slots[j.Slot].pos, len(l)-1
+	moved := l[last]
+	l[idx] = moved
+	m.slots[moved.Slot].pos = idx
+	l[last] = nil
+	*list = l[:last]
 }
 
 // New creates a Manager bound to engine eng.
@@ -339,22 +367,20 @@ func New(eng *sim.Engine, opt Options) *Manager {
 		}
 	}
 	m := &Manager{
-		name:        name,
-		eng:         eng,
-		pool:        opt.Pool,
-		pol:         pol,
-		bf:          mode,
-		est:         est,
-		cfg:         opt.Cosched,
-		obs:         obs,
-		peers:       make(map[string]cosched.Peer),
-		jobs:        make(map[job.ID]*job.Job),
-		running:     make(map[job.ID]*runEntry),
-		holding:     make(map[job.ID]*holdEntry),
-		demoted:     make(map[job.ID]bool),
-		lastYieldAt: make(map[job.ID]sim.Time),
-		core:        opt.Core,
-		holdBudget:  -1,
+		name:       name,
+		eng:        eng,
+		pool:       opt.Pool,
+		pol:        pol,
+		bf:         mode,
+		est:        est,
+		cfg:        opt.Cosched,
+		obs:        obs,
+		peers:      make(map[string]cosched.Peer),
+		jobs:       make(map[job.ID]*job.Job),
+		slots:      make([]jobSlot, 1),
+		lastYield:  -1,
+		core:       opt.Core,
+		holdBudget: -1,
 	}
 	m.boostFn = m.boost
 	m.estFn = m.est.Estimate
@@ -369,7 +395,7 @@ func New(eng *sim.Engine, opt Options) *Manager {
 			return // withdrawn before arrival
 		}
 		// Submit resets SubmitTime to now, which equals j.SubmitTime.
-		if err := m.Submit(j); err != nil {
+		if err := m.submit(j); err != nil {
 			panic(fmt.Sprintf("resmgr %s: replay submit job %d: %v", m.name, j.ID, err))
 		}
 	}
@@ -381,12 +407,11 @@ func New(eng *sim.Engine, opt Options) *Manager {
 		// The queue stays pre-sorted only when the canonical order is a
 		// function of queue membership alone: time-invariant scores and no
 		// per-yield boosts (demotion iterations fall back to a full sort
-		// per iteration instead of disabling the mode). Otherwise an
-		// id→position index gives O(1) removal.
+		// per iteration instead of disabling the mode). Otherwise slot
+		// positions give O(1) removal and each iteration sorts the queue
+		// storage in place, starting from the last iteration's order.
 		m.sortedQueue = policy.IsTimeInvariant(pol) && !m.cfg.YieldBoost
-		if !m.sortedQueue {
-			m.queuePos = make(map[job.ID]int)
-		}
+		m.indexedQueue = !m.sortedQueue
 		// The timeline caches each running job's endBy at start, so it is
 		// maintainable only while the estimator's predictions cannot drift
 		// afterwards; unstable estimators rebuild per iteration.
@@ -467,11 +492,22 @@ func (m *Manager) Submit(j *job.Job) error {
 		}
 		m.addJob(j)
 	}
+	return m.submit(j)
+}
+
+// submit queues a job registered with this manager. The trace-replay
+// paths call it directly: they registered the job themselves, so the
+// registry lookup Submit makes would only re-hash a known ID.
+func (m *Manager) submit(j *job.Job) error {
+	if j.State != job.Unsubmitted {
+		return fmt.Errorf("%w: job %d is %s, want unsubmitted", ErrBadState, j.ID, j.State)
+	}
 	if err := j.Advance(job.Queued); err != nil {
 		return err
 	}
 	now := m.eng.Now()
 	j.SubmitTime = now
+	m.bind(j)
 	m.enqueue(j)
 	m.obs.JobSubmitted(now, j)
 	m.RequestIteration()
@@ -549,7 +585,7 @@ func (m *Manager) replayStep(now sim.Time) {
 			if j.State == job.Cancelled {
 				continue // withdrawn before arrival; see Cancel
 			}
-			if err := m.Submit(j); err != nil {
+			if err := m.submit(j); err != nil {
 				panic(fmt.Sprintf("resmgr %s: replay submit job %d: %v", m.name, j.ID, err))
 			}
 		}
@@ -639,26 +675,26 @@ func (m *Manager) Cancel(id job.ID) error {
 	case job.Unsubmitted:
 		// The replay submit event (if any) checks the state and skips.
 	case job.Queued:
-		m.removeFromQueue(id)
-		delete(m.lastYieldAt, id)
+		m.removeFromQueue(j)
+		m.unbind(j)
 	case job.Holding:
-		he := m.holding[id]
-		j.HeldNodeSeconds += int64(he.alloc.Allocated) * (now - j.HoldStart)
-		if err := m.pool.Release(now, he.alloc.ID); err != nil {
+		s := &m.slots[j.Slot]
+		j.HeldNodeSeconds += int64(s.alloc.Allocated) * (now - j.HoldStart)
+		if err := m.pool.Release(now, s.alloc); err != nil {
 			panic(fmt.Sprintf("resmgr %s: cancel hold: %v", m.name, err))
 		}
-		delete(m.holding, id)
-		m.recycleHold(he)
+		m.listRemove(&m.holding, j)
+		m.unbind(j)
 		m.scheduleReleaseScan()
 	case job.Running:
-		re := m.running[id]
-		re.end.Cancel()
-		if err := m.pool.Release(now, re.alloc.ID); err != nil {
+		s := &m.slots[j.Slot]
+		s.end.Cancel()
+		if err := m.pool.Release(now, s.alloc); err != nil {
 			panic(fmt.Sprintf("resmgr %s: cancel run: %v", m.name, err))
 		}
-		m.runReleaseDrop(re)
-		delete(m.running, id)
-		m.recycleRun(re)
+		m.runReleaseDrop(s)
+		m.listRemove(&m.running, j)
+		m.unbind(j)
 	default:
 		return fmt.Errorf("%w: job %d is %s", ErrBadState, id, j.State)
 	}
@@ -686,10 +722,7 @@ func (m *Manager) RequestIteration() {
 // boost computes the per-job additive priority adjustment: iteration-scoped
 // demotion for released holders, escalation boosts for repeat yielders.
 func (m *Manager) boost(j *job.Job) float64 {
-	// boost runs once per queued job on every iteration; skipping the hash
-	// lookup while no demotions are live (the overwhelmingly common state)
-	// is a measurable win on large queues.
-	if len(m.demoted) > 0 && m.demoted[j.ID] {
+	if m.demoting && m.slots[j.Slot].demoted {
 		return policy.DemotionBoost
 	}
 	if m.cfg.YieldBoost {
@@ -709,27 +742,9 @@ func (m *Manager) Iterate(now sim.Time) {
 	// the instant: excluding it from the plan lets other jobs use the
 	// nodes it declined (the "additional scheduling iteration" yieldJob
 	// requests), and prevents a yield livelock within one event time.
-	eligible := m.queue
-	excluded := 0
-	for i, j := range m.queue {
-		if j.YieldCount > 0 && m.lastYieldAt[j.ID] == now {
-			buf := m.eligBuf[:0]
-			if cap(buf) < len(m.queue) {
-				buf = make([]*job.Job, 0, len(m.queue))
-			}
-			buf = append(buf, m.queue[:i]...)
-			excluded++
-			for _, k := range m.queue[i+1:] {
-				if k.YieldCount > 0 && m.lastYieldAt[k.ID] == now {
-					excluded++
-					continue
-				}
-				buf = append(buf, k)
-			}
-			m.eligBuf = buf
-			eligible = buf
-			break
-		}
+	eligible, excluded := m.queue, 0
+	if m.lastYield == now {
+		eligible, excluded = m.dropYielders(now)
 	}
 
 	// Stale-timeline check before fingerprinting: a correction bumps
@@ -741,7 +756,7 @@ func (m *Manager) Iterate(now sim.Time) {
 	// Demotion iterations (the release-scan deadlock breaker) reorder via
 	// boosts the fingerprint does not see; they bypass and poison the
 	// cache rather than widen it for a once-per-interval event.
-	useCache := m.core == CoreIncremental && len(m.demoted) == 0
+	useCache := m.core == CoreIncremental && !m.demoting
 	var fp iterFP
 	if useCache {
 		fp = m.fingerprint(now, excluded)
@@ -756,8 +771,10 @@ func (m *Manager) Iterate(now sim.Time) {
 	// plan is empty by construction under every planner and the whole
 	// score/sort/plan pass can be skipped. Completions free their nodes
 	// before the same-instant scheduling iteration fires (PriorityEnd <
-	// PrioritySchedule), so the shortcut is exact, not heuristic.
-	if m.pool.Free() == 0 {
+	// PrioritySchedule), so the shortcut is exact, not heuristic. The
+	// incremental core widens it to every pool no eligible job fits (see
+	// noneFits).
+	if m.pool.Free() == 0 || m.noneFits(eligible) {
 		if m.core == CoreIncremental {
 			if useCache {
 				m.lastFP, m.lastEmpty, m.lastFPValid = fp, true, true
@@ -769,15 +786,29 @@ func (m *Manager) Iterate(now sim.Time) {
 	}
 
 	var ordered []*job.Job
-	if m.sortedQueue && len(m.demoted) == 0 {
+	switch {
+	case m.sortedQueue && !m.demoting:
 		// The queue storage already holds the canonical order and every
 		// boost is zero (time-invariant policy, yield-boost off, no
 		// demotions), so Orderer.Order would return this exact
 		// permutation — skip the score-and-sort entirely.
 		ordered = eligible
-	} else {
+	case m.indexedQueue:
+		// Sort in place: the storage still holds the last iteration's
+		// order, so the adaptive sort mostly confirms it. eligible is
+		// either the queue itself (refresh the slot positions) or the
+		// exclusion buffer copied from it.
+		m.ord.Sort(m.pol, eligible, now, m.boostFn)
+		if excluded == 0 {
+			for i, j := range eligible {
+				m.slots[j.Slot].pos = i
+			}
+		}
+		ordered = eligible
+	default:
 		ordered = m.ord.Order(m.pol, eligible, now, m.boostFn)
 	}
+	m.checkOrder(ordered, now)
 
 	releases := m.planReleases(now)
 
@@ -812,6 +843,50 @@ func (m *Manager) Iterate(now sim.Time) {
 		}
 		m.RunJob(j, now, d.HoldSafe)
 	}
+}
+
+// dropYielders returns the queue without the jobs that yielded at now (in
+// the reusable eligibility buffer) and how many it dropped.
+func (m *Manager) dropYielders(now sim.Time) ([]*job.Job, int) {
+	for i, j := range m.queue {
+		if m.slots[j.Slot].yieldAt != now {
+			continue
+		}
+		buf := m.eligBuf[:0]
+		if cap(buf) < len(m.queue) {
+			buf = make([]*job.Job, 0, len(m.queue))
+		}
+		buf = append(buf, m.queue[:i]...)
+		excluded := 1
+		for _, k := range m.queue[i+1:] {
+			if m.slots[k.Slot].yieldAt == now {
+				excluded++
+				continue
+			}
+			buf = append(buf, k)
+		}
+		m.eligBuf = buf
+		return buf, excluded
+	}
+	return m.queue, 0
+}
+
+// noneFits reports, for the incremental core under EASY or no backfill,
+// that no eligible job's charge fits the free nodes. Both planners admit a
+// job only if it fits now, so the plan is then empty by construction and
+// Iterate returns before scoring, sorting and planning, as for a full
+// pool.
+func (m *Manager) noneFits(eligible []*job.Job) bool {
+	if m.core != CoreIncremental || m.bf == BackfillConservative {
+		return false
+	}
+	free := m.pool.Free()
+	for _, j := range eligible {
+		if m.pool.ChargeFor(j.Nodes) <= free {
+			return false
+		}
+	}
+	return true
 }
 
 // RunJob is Algorithm 1: start, hold, or yield a scheduled job j that the
@@ -986,18 +1061,16 @@ func (m *Manager) startJobAt(j *job.Job, at, now sim.Time) {
 		return
 	}
 	if err := j.Advance(job.Running); err != nil {
-		_ = m.pool.Release(now, alloc.ID)
+		_ = m.pool.Release(now, alloc)
 		panic(fmt.Sprintf("resmgr %s: startJob: %v", m.name, err))
 	}
 	j.StartTime = at
-	m.removeFromQueue(j.ID)
-	if len(m.lastYieldAt) > 0 {
-		delete(m.lastYieldAt, j.ID)
-	}
-	entry := m.newRunEntry(alloc)
-	m.runReleaseAdd(entry, j)
-	entry.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, j)
-	m.running[j.ID] = entry
+	m.removeFromQueue(j)
+	s := &m.slots[j.Slot]
+	s.alloc = alloc
+	m.runReleaseAdd(s)
+	s.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, j)
+	m.listAdd(&m.running, j)
 	m.obs.JobStarted(at, j)
 }
 
@@ -1011,25 +1084,23 @@ func (m *Manager) startHeldJob(j *job.Job, now sim.Time) error {
 // startJobAt). Held-node-seconds accrue to the local clock: the hold really
 // did occupy nodes until now, whatever instant the pair agrees to record.
 func (m *Manager) startHeldJobAt(j *job.Job, at, now sim.Time) error {
-	he, ok := m.holding[j.ID]
-	if !ok {
+	s := m.slotOf(j)
+	if s == nil || j.State != job.Holding {
 		return fmt.Errorf("%w: job %d not holding", ErrBadState, j.ID)
 	}
-	if _, err := m.pool.Convert(now, he.alloc.ID, cluster.AllocRun); err != nil {
+	if _, err := m.pool.Convert(now, s.alloc, cluster.AllocRun); err != nil {
 		return err
 	}
-	delete(m.holding, j.ID)
+	m.listRemove(&m.holding, j)
 	m.scheduleReleaseScan()
-	j.HeldNodeSeconds += int64(he.alloc.Allocated) * (now - j.HoldStart)
+	j.HeldNodeSeconds += int64(s.alloc.Allocated) * (now - j.HoldStart)
 	if err := j.Advance(job.Running); err != nil {
 		panic(fmt.Sprintf("resmgr %s: startHeldJob: %v", m.name, err))
 	}
 	j.StartTime = at
-	entry := m.newRunEntry(he.alloc)
-	m.recycleHold(he)
-	m.runReleaseAdd(entry, j)
-	entry.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, j)
-	m.running[j.ID] = entry
+	m.runReleaseAdd(s)
+	s.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, j)
+	m.listAdd(&m.running, j)
 	m.obs.JobStarted(at, j)
 	return nil
 }
@@ -1042,13 +1113,14 @@ func (m *Manager) holdJob(j *job.Job, now sim.Time) {
 		return // lost the nodes inside this iteration; stay queued
 	}
 	if err := j.Advance(job.Holding); err != nil {
-		_ = m.pool.Release(now, alloc.ID)
+		_ = m.pool.Release(now, alloc)
 		panic(fmt.Sprintf("resmgr %s: holdJob: %v", m.name, err))
 	}
 	j.HoldStart = now
 	j.HoldCount++
-	m.removeFromQueue(j.ID)
-	m.holding[j.ID] = m.newHoldEntry(alloc)
+	m.removeFromQueue(j)
+	m.slots[j.Slot].alloc = alloc
+	m.listAdd(&m.holding, j)
 	m.obs.JobHeld(now, j)
 	m.scheduleReleaseScan()
 }
@@ -1058,7 +1130,8 @@ func (m *Manager) holdJob(j *job.Job, now sim.Time) {
 // use the nodes it declined.
 func (m *Manager) yieldJob(j *job.Job, now sim.Time) {
 	j.YieldCount++
-	m.lastYieldAt[j.ID] = now
+	m.slots[j.Slot].yieldAt = now
+	m.lastYield = now
 	m.yieldV++ // yield counts and same-instant exclusions feed the fingerprint
 	m.obs.JobYielded(now, j)
 	m.RequestIteration()
@@ -1075,8 +1148,8 @@ func (m *Manager) scheduleReleaseScan() {
 		return // a scan is already armed; it re-arms itself while holds exist
 	}
 	due := sim.Time(math.MaxInt64)
-	for id := range m.holding {
-		if t := m.jobs[id].HoldStart + m.cfg.ReleaseInterval; t < due {
+	for _, j := range m.holding {
+		if t := j.HoldStart + m.cfg.ReleaseInterval; t < due {
 			due = t
 		}
 	}
@@ -1102,51 +1175,53 @@ func (m *Manager) scheduleReleaseScan() {
 // enhancement exists to break). Holders whose nodes nobody takes re-hold
 // within the same iteration; the rest stay queued.
 func (m *Manager) releaseScanFire(now sim.Time) {
-	due := make([]*job.Job, 0, len(m.holding))
-	for id := range m.holding {
-		due = append(due, m.jobs[id])
-	}
-	// Map iteration order is random; sort for reproducible simulations.
+	// The holding list is in swap-removal order; release (and notify) in
+	// ID order, which event logs make visible.
+	due := append(m.dueBuf[:0], m.holding...)
 	slices.SortFunc(due, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
 	for _, j := range due {
-		he := m.holding[j.ID]
-		j.HeldNodeSeconds += int64(he.alloc.Allocated) * (now - j.HoldStart)
-		if err := m.pool.Release(now, he.alloc.ID); err != nil {
+		s := &m.slots[j.Slot]
+		j.HeldNodeSeconds += int64(s.alloc.Allocated) * (now - j.HoldStart)
+		if err := m.pool.Release(now, s.alloc); err != nil {
 			panic(fmt.Sprintf("resmgr %s: release scan: %v", m.name, err))
 		}
-		delete(m.holding, j.ID)
-		m.recycleHold(he)
+		s.alloc = nil
+		s.demoted = true
+		m.listRemove(&m.holding, j)
 		if err := j.Advance(job.Queued); err != nil {
 			panic(fmt.Sprintf("resmgr %s: release scan: %v", m.name, err))
 		}
 		m.enqueue(j)
-		m.demoted[j.ID] = true
 		m.obs.JobReleased(now, j, true)
 	}
 	if len(due) > 0 {
 		// One iteration with every released holder demoted to the back;
 		// the demotion window is exactly this iteration.
+		m.demoting = true
 		m.Iterate(now)
+		m.demoting = false
 		for _, j := range due {
-			delete(m.demoted, j.ID)
+			m.slots[j.Slot].demoted = false
 		}
 	}
+	clear(due)
+	m.dueBuf = due[:0]
 	m.scheduleReleaseScan()
 }
 
 // completeJob finishes a running job, frees its nodes, and triggers a new
 // scheduling iteration.
 func (m *Manager) completeJob(j *job.Job, now sim.Time) {
-	re, ok := m.running[j.ID]
-	if !ok {
+	s := m.slotOf(j)
+	if s == nil || j.State != job.Running {
 		return
 	}
-	if err := m.pool.Release(now, re.alloc.ID); err != nil {
+	if err := m.pool.Release(now, s.alloc); err != nil {
 		panic(fmt.Sprintf("resmgr %s: completeJob: %v", m.name, err))
 	}
-	m.runReleaseDrop(re)
-	delete(m.running, j.ID)
-	m.recycleRun(re)
+	m.runReleaseDrop(s)
+	m.listRemove(&m.running, j)
+	m.unbind(j)
 	if err := j.Advance(job.Completed); err != nil {
 		panic(fmt.Sprintf("resmgr %s: completeJob: %v", m.name, err))
 	}

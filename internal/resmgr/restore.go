@@ -38,6 +38,7 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 		m.addJob(j)
 	case job.Queued:
 		m.addJob(j)
+		m.bind(j)
 		m.enqueue(j)
 	case job.Holding:
 		alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocHold)
@@ -45,7 +46,9 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 			return fmt.Errorf("restore hold for job %d: %w", j.ID, err)
 		}
 		m.addJob(j)
-		m.holding[j.ID] = &holdEntry{alloc: alloc}
+		m.bind(j)
+		m.slots[j.Slot].alloc = alloc
+		m.listAdd(&m.holding, j)
 		m.scheduleReleaseScan()
 	case job.Running:
 		alloc, err := m.pool.Allocate(now, j.Nodes, cluster.AllocRun)
@@ -53,8 +56,6 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 			return fmt.Errorf("restore run for job %d: %w", j.ID, err)
 		}
 		m.addJob(j)
-		entry := &runEntry{alloc: alloc}
-		m.runReleaseAdd(entry, j)
 		end := j.StartTime + sim.Time(j.Runtime)
 		if end < now {
 			// The job finished while the daemon was down; complete it at
@@ -65,8 +66,11 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 		if err != nil {
 			return fmt.Errorf("restore completion for job %d: %w", j.ID, err)
 		}
-		entry.end = ref
-		m.running[j.ID] = entry
+		m.bind(j)
+		s := &m.slots[j.Slot]
+		s.alloc, s.end = alloc, ref
+		m.runReleaseAdd(s)
+		m.listAdd(&m.running, j)
 	case job.Completed:
 		m.addJob(j)
 		m.completed++
@@ -85,15 +89,16 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 // knows the job — it re-enters Run_Job on the next iteration, where the
 // unknown mate now means "start normally".
 func (m *Manager) releaseHold(j *job.Job, now sim.Time) {
-	he, ok := m.holding[j.ID]
-	if !ok {
+	s := m.slotOf(j)
+	if s == nil || j.State != job.Holding {
 		return
 	}
-	j.HeldNodeSeconds += int64(he.alloc.Allocated) * (now - j.HoldStart)
-	if err := m.pool.Release(now, he.alloc.ID); err != nil {
+	j.HeldNodeSeconds += int64(s.alloc.Allocated) * (now - j.HoldStart)
+	if err := m.pool.Release(now, s.alloc); err != nil {
 		panic(fmt.Sprintf("resmgr %s: reconcile release: %v", m.name, err))
 	}
-	delete(m.holding, j.ID)
+	s.alloc = nil
+	m.listRemove(&m.holding, j)
 	if err := j.Advance(job.Queued); err != nil {
 		panic(fmt.Sprintf("resmgr %s: reconcile release: %v", m.name, err))
 	}
