@@ -42,8 +42,8 @@ var (
 )
 
 // Allocation records one grant of nodes. Allocated is ≥ Requested when the
-// partition constraint rounds up. The allocation itself is the handle that
-// Release and Convert take.
+// partition constraint rounds up. The allocation pointer together with the
+// ID it was granted under is the handle that Release and Convert take.
 type Allocation struct {
 	ID        int64
 	Requested int
@@ -51,7 +51,8 @@ type Allocation struct {
 	Kind      AllocKind
 	Since     sim.Time
 
-	pool *Pool // granting pool while live; nil once released
+	pool *Pool       // granting pool while live; nil once released
+	self *Allocation // the struct the pool granted, so a copy is refused
 }
 
 // Pool is the node allocator for one domain. It is not safe for concurrent
@@ -146,13 +147,14 @@ func (p *Pool) CanAllocate(n int) bool {
 }
 
 // Allocate grants n nodes of the given kind at virtual time now. The
-// returned allocation is the handle passed to Release or Convert.
+// returned allocation and its ID are the handle passed to Release or
+// Convert; the caller keeps the ID beside the pointer.
 //
-// Allocation structs are recycled: a pointer obtained from Allocate is
-// valid only until its Release, after which the next Allocate may reuse
-// the struct for an unrelated grant. Callers must not retain it past that
-// point (the resource manager drops its handle in the same event). A
-// released handle is refused until then, so a double release errors.
+// Allocation structs are recycled: after a Release the next Allocate may
+// reuse the struct for an unrelated grant under a new ID. IDs are never
+// reused, so a stale handle (pointer plus the ID it was granted under) is
+// refused even once its struct serves another grant, and a double release
+// errors instead of freeing someone else's nodes.
 func (p *Pool) Allocate(now sim.Time, n int, kind AllocKind) (*Allocation, error) {
 	if n <= 0 || n > p.total {
 		return nil, fmt.Errorf("%w: %d nodes from pool of %d", ErrBadRequest, n, p.total)
@@ -175,29 +177,25 @@ func (p *Pool) Allocate(now sim.Time, n int, kind AllocKind) (*Allocation, error
 	} else {
 		a = new(Allocation)
 	}
-	*a = Allocation{ID: p.nextID, Requested: n, Allocated: charge, Kind: kind, Since: now, pool: p}
+	*a = Allocation{ID: p.nextID, Requested: n, Allocated: charge, Kind: kind, Since: now, pool: p, self: a}
 	p.live++
 	return a, nil
 }
 
-// owns reports whether a is a live allocation granted by this pool.
-func (p *Pool) owns(a *Allocation) bool { return a != nil && a.pool == p }
-
-// unknown describes a handle the pool does not own for ErrUnknownAlloc.
-func unknown(a *Allocation) error {
-	if a == nil {
-		return fmt.Errorf("%w: nil", ErrUnknownAlloc)
-	}
-	return fmt.Errorf("%w: id %d", ErrUnknownAlloc, a.ID)
+// owns reports whether (a, id) is a live grant of this pool: a is the
+// struct the pool handed out, still granted by it, under id.
+func (p *Pool) owns(a *Allocation, id int64) bool {
+	return a != nil && a.pool == p && a.self == a && a.ID == id
 }
 
-// Release returns an allocation's nodes to the free pool. A handle this
-// pool did not grant, or one already released, is an ErrUnknownAlloc. The
-// Allocation struct goes back on the recycle list — see Allocate's
-// retention contract.
-func (p *Pool) Release(now sim.Time, a *Allocation) error {
-	if !p.owns(a) {
-		return unknown(a)
+// Release returns the nodes of the grant (a, id) to the free pool. A handle
+// that is not a live grant of this pool — nil, foreign, already released,
+// under the wrong ID, or a copy — is an ErrUnknownAlloc and changes
+// nothing. The Allocation struct goes back on the recycle list — see
+// Allocate.
+func (p *Pool) Release(now sim.Time, a *Allocation, id int64) error {
+	if !p.owns(a, id) {
+		return fmt.Errorf("%w: id %d", ErrUnknownAlloc, id)
 	}
 	p.integrate(now)
 	p.free += a.Allocated
@@ -212,12 +210,12 @@ func (p *Pool) Release(now sim.Time, a *Allocation) error {
 	return nil
 }
 
-// Convert switches an allocation between hold and run in place (used when a
-// holding job's mate becomes ready and the job starts on the nodes it
-// already occupies). It returns the allocation for convenience.
-func (p *Pool) Convert(now sim.Time, a *Allocation, kind AllocKind) (*Allocation, error) {
-	if !p.owns(a) {
-		return nil, unknown(a)
+// Convert switches the grant (a, id) between hold and run in place (used
+// when a holding job's mate becomes ready and the job starts on the nodes
+// it already occupies). It returns the allocation for convenience.
+func (p *Pool) Convert(now sim.Time, a *Allocation, id int64, kind AllocKind) (*Allocation, error) {
+	if !p.owns(a, id) {
+		return nil, fmt.Errorf("%w: id %d", ErrUnknownAlloc, id)
 	}
 	if a.Kind == kind {
 		return a, nil

@@ -15,7 +15,7 @@ func TestAllocateRelease(t *testing.T) {
 	if p.Free() != 60 || p.Busy() != 40 || p.Running() != 40 || p.Held() != 0 {
 		t.Fatalf("after allocate: %s", p)
 	}
-	if err := p.Release(10, a); err != nil {
+	if err := p.Release(10, a, a.ID); err != nil {
 		t.Fatal(err)
 	}
 	if p.Free() != 100 || p.Allocations() != 0 {
@@ -44,8 +44,9 @@ func TestAllocateBadRequest(t *testing.T) {
 }
 
 // Release refuses every handle that is not a live grant of this pool: nil,
-// one granted by another pool, and one already released (double release),
-// and a refused release leaves the accounting untouched.
+// one granted by another pool, one already released (double release), a
+// live grant under the wrong ID, and a copy of a live grant. A refused
+// release leaves the accounting untouched.
 func TestReleaseUnknown(t *testing.T) {
 	p := New("test", 10)
 	other, err := New("other", 10).Allocate(0, 2, AllocRun)
@@ -56,16 +57,73 @@ func TestReleaseUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Release(1, a); err != nil {
+	aID := a.ID
+	if err := p.Release(1, a, aID); err != nil {
 		t.Fatal(err)
 	}
-	for name, h := range map[string]*Allocation{"nil": nil, "foreign": other, "released": a} {
-		if err := p.Release(2, h); !errors.Is(err, ErrUnknownAlloc) {
-			t.Errorf("%s: err = %v, want ErrUnknownAlloc", name, err)
-		}
+	if err := p.Release(2, nil, 0); !errors.Is(err, ErrUnknownAlloc) {
+		t.Errorf("nil: err = %v, want ErrUnknownAlloc", err)
+	}
+	if err := p.Release(2, other, other.ID); !errors.Is(err, ErrUnknownAlloc) {
+		t.Errorf("foreign: err = %v, want ErrUnknownAlloc", err)
+	}
+	if err := p.Release(2, a, aID); !errors.Is(err, ErrUnknownAlloc) {
+		t.Errorf("released: err = %v, want ErrUnknownAlloc", err)
 	}
 	if p.Free() != 10 || p.Held() != 0 || p.Allocations() != 0 {
 		t.Fatalf("refused releases changed the pool: %s, %d live", p, p.Allocations())
+	}
+
+	b, err := p.Allocate(3, 4, AllocRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(4, b, b.ID+1); !errors.Is(err, ErrUnknownAlloc) {
+		t.Errorf("wrong id: err = %v, want ErrUnknownAlloc", err)
+	}
+	c := *b
+	if err := p.Release(4, &c, c.ID); !errors.Is(err, ErrUnknownAlloc) {
+		t.Errorf("copy: err = %v, want ErrUnknownAlloc", err)
+	}
+	if p.Free() != 6 || p.Running() != 4 || p.Allocations() != 1 {
+		t.Fatalf("refused releases changed the pool: %s, %d live", p, p.Allocations())
+	}
+}
+
+// A released handle stays refused after the next Allocate recycles its
+// struct for another grant: the stale release must neither succeed nor
+// touch the new grant's accounting, and the new grant releases normally.
+func TestReleaseStaleHandleAfterReuse(t *testing.T) {
+	p := New("test", 10)
+	a, err := p.Allocate(0, 3, AllocHold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aID := a.ID
+	if err := p.Release(1, a, aID); err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Allocate(2, 5, AllocRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != a {
+		t.Fatalf("Allocate did not recycle the released struct; the test needs it to")
+	}
+	if err := p.Release(3, a, aID); !errors.Is(err, ErrUnknownAlloc) {
+		t.Fatalf("stale release: err = %v, want ErrUnknownAlloc", err)
+	}
+	if _, err := p.Convert(3, a, aID, AllocHold); !errors.Is(err, ErrUnknownAlloc) {
+		t.Fatalf("stale convert: err = %v, want ErrUnknownAlloc", err)
+	}
+	if p.Free() != 5 || p.Running() != 5 || p.Held() != 0 || p.Allocations() != 1 {
+		t.Fatalf("stale handle changed the new grant's accounting: %s, %d live", p, p.Allocations())
+	}
+	if err := p.Release(4, b, b.ID); err != nil {
+		t.Fatal(err)
+	}
+	if p.Free() != 10 || p.Allocations() != 0 {
+		t.Fatalf("after releasing the new grant: %s", p)
 	}
 }
 
@@ -82,7 +140,7 @@ func TestHeldAccounting(t *testing.T) {
 		t.Fatalf("held fraction = %g, want 0.3", got)
 	}
 	// Convert hold → run (mate became ready).
-	if _, err := p.Convert(50, h, AllocRun); err != nil {
+	if _, err := p.Convert(50, h, h.ID, AllocRun); err != nil {
 		t.Fatal(err)
 	}
 	if p.Held() != 0 || p.Running() != 30 {
@@ -106,17 +164,18 @@ func TestHeldAccounting(t *testing.T) {
 func TestConvertIdempotentAndUnknown(t *testing.T) {
 	p := New("test", 10)
 	a, _ := p.Allocate(0, 4, AllocRun)
-	if _, err := p.Convert(0, a, AllocRun); err != nil {
+	if _, err := p.Convert(0, a, a.ID, AllocRun); err != nil {
 		t.Fatalf("same-kind convert: %v", err)
 	}
 	other, _ := New("other", 10).Allocate(0, 4, AllocRun)
-	if _, err := p.Convert(0, other, AllocHold); !errors.Is(err, ErrUnknownAlloc) {
+	if _, err := p.Convert(0, other, other.ID, AllocHold); !errors.Is(err, ErrUnknownAlloc) {
 		t.Fatalf("foreign handle: err = %v, want ErrUnknownAlloc", err)
 	}
-	if err := p.Release(0, a); err != nil {
+	aID := a.ID
+	if err := p.Release(0, a, aID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Convert(0, a, AllocHold); !errors.Is(err, ErrUnknownAlloc) {
+	if _, err := p.Convert(0, a, aID, AllocHold); !errors.Is(err, ErrUnknownAlloc) {
 		t.Fatalf("released handle: err = %v, want ErrUnknownAlloc", err)
 	}
 	if p.Held() != 0 {
@@ -173,14 +232,21 @@ func TestPoolInvariantsProperty(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		p := New("q", 64)
-		var live []*Allocation
+		type grant struct {
+			a  *Allocation
+			id int64
+		}
+		var live []grant
 		now := int64(0)
 		for _, o := range ops {
 			now++
 			if o.Rel && len(live) > 0 {
-				a := live[0]
+				g := live[0]
 				live = live[1:]
-				if err := p.Release(now, a); err != nil {
+				if err := p.Release(now, g.a, g.id); err != nil {
+					return false
+				}
+				if p.Release(now, g.a, g.id) == nil { // double release
 					return false
 				}
 			} else {
@@ -191,7 +257,7 @@ func TestPoolInvariantsProperty(t *testing.T) {
 				}
 				a, err := p.Allocate(now, n, kind)
 				if err == nil {
-					live = append(live, a)
+					live = append(live, grant{a, a.ID})
 				}
 			}
 			if p.Free() < 0 || p.Free() > p.Total() {

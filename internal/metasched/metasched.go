@@ -248,9 +248,9 @@ func (s *Sim) start(req *request, now sim.Time) {
 			panic(fmt.Sprintf("metasched: start: %v", err))
 		}
 		m.j.StartTime = now
-		mj, dom := m.j, m.domain
+		mj, dom, id := m.j, m.domain, alloc.ID
 		s.eng.After(mj.Runtime, sim.PriorityEnd, func(end sim.Time) {
-			if err := s.pools[dom].Release(end, alloc); err != nil {
+			if err := s.pools[dom].Release(end, alloc, id); err != nil {
 				panic(fmt.Sprintf("metasched: release: %v", err))
 			}
 			if err := mj.Advance(job.Completed); err != nil {

@@ -100,10 +100,10 @@ func (o *Orderer) Order(p Policy, q []*job.Job, now sim.Time, boost Boost) []*jo
 	return out
 }
 
-// Sort reorders q in place into the order Order would return. A caller
-// that keeps its queue storage in the last canonical order (the resource
-// manager's indexed queue) hands sortScored an almost-sorted slice on the
-// next call, which its insertion pass finishes in near-linear time.
+// Sort reorders q in place into the order Order would return, for a caller
+// whose queue storage order is free (the resource manager's indexed queue):
+// the result needs no copy, and the next call starts from the last
+// canonical order.
 func (o *Orderer) Sort(p Policy, q []*job.Job, now sim.Time, boost Boost) {
 	o.sortInto(q, p, q, now, boost)
 }
@@ -142,51 +142,17 @@ func (o *Orderer) sortInto(dst []*job.Job, p Policy, q []*job.Job, now sim.Time,
 //simlint:hotpath
 func scoredLess(a, b *scored) bool { return Precedes(a.s, a.j, b.s, b.j) }
 
-// insertionCutoff is the length below which quickSortScored insertion
-// sorts outright.
-const insertionCutoff = 16
-
-// sortShiftBudget bounds the insertion pass of sortScored at this many
-// shifts per element, plus the most any slice shorter than insertionCutoff
-// can need (quicksort would insertion sort those anyway). A nearly sorted
-// input then costs O(n + shifts), and an unsorted one at most a constant
-// factor over quicksort alone.
-const sortShiftBudget = 2
-
-// sortScored sorts by scoredLess. It first runs insertion sort, which
-// finishes an almost-sorted slice (the warm-started queue) in near-linear
-// time; once the entries have shifted more than the budget allows it
-// falls back to quickSortScored on the partly sorted slice, and reports
-// that it did. Precedes is a strict total order, so either path yields the
-// unique sorted permutation.
-//
-//simlint:hotpath
-func sortScored(s []scored) (fellBack bool) {
-	budget := sortShiftBudget*len(s) + insertionCutoff*(insertionCutoff-1)/2
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && scoredLess(&s[j], &s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-			budget--
-		}
-		if budget < 0 {
-			quickSortScored(s)
-			return true
-		}
-	}
-	return false
-}
-
-// quickSortScored sorts by scoredLess: median-of-three quicksort with an
+// sortScored sorts by scoredLess: median-of-three quicksort with an
 // insertion-sort cutoff, iterating into the larger partition so stack
 // depth stays logarithmic. Precedes is a strict total order (no two
 // entries compare equal), which rules out the quadratic equal-keys
 // pathology and makes the output the unique sorted permutation.
 //
 //simlint:hotpath
-func quickSortScored(s []scored) {
+func sortScored(s []scored) {
 	for {
 		n := len(s)
-		if n < insertionCutoff {
+		if n < 16 {
 			for i := 1; i < n; i++ {
 				for j := i; j > 0 && scoredLess(&s[j], &s[j-1]); j-- {
 					s[j], s[j-1] = s[j-1], s[j]
@@ -224,10 +190,10 @@ func quickSortScored(s []scored) {
 		}
 		// Recurse into the smaller half, loop on the larger.
 		if j+1 <= n-(j+1) {
-			quickSortScored(s[:j+1])
+			sortScored(s[:j+1])
 			s = s[j+1:]
 		} else {
-			quickSortScored(s[j+1:])
+			sortScored(s[j+1:])
 			s = s[:j+1]
 		}
 	}

@@ -22,9 +22,8 @@ import (
 //     a queue kept canonically ordered by binary-search insertion so the
 //     per-iteration full sort disappears; for time-varying ones (WFP,
 //     FairShare) O(1) removal through each job's slot position, with every
-//     iteration's canonical order written back into the queue storage so
-//     the next iteration's adaptive sort starts from an almost-sorted
-//     slice;
+//     iteration's canonical order written back into the queue storage
+//     (sorted in place, no copy);
 //   - an iteration skip-cache that fingerprints every planner input and
 //     skips planning when the previous iteration at the identical state
 //     produced an empty plan, plus a no-fit exit that returns the empty

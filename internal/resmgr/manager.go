@@ -96,9 +96,10 @@ func (NullObserver) JobCancelled(sim.Time, *job.Job) {}
 // running) job, reached through the job's Slot index instead of hashing
 // its ID on every lifecycle event.
 type jobSlot struct {
-	j     *job.Job
-	alloc *cluster.Allocation // run or hold allocation; nil while queued
-	end   sim.EventRef        // completion event while running
+	j       *job.Job
+	alloc   *cluster.Allocation // run or hold allocation; nil while queued
+	allocID int64               // the ID alloc was granted under
+	end     sim.EventRef        // completion event while running
 	// endBy is the release bound the planners were told while running,
 	// which doubles as the key of the job's maintained timeline entry.
 	endBy sim.Time
@@ -680,7 +681,7 @@ func (m *Manager) Cancel(id job.ID) error {
 	case job.Holding:
 		s := &m.slots[j.Slot]
 		j.HeldNodeSeconds += int64(s.alloc.Allocated) * (now - j.HoldStart)
-		if err := m.pool.Release(now, s.alloc); err != nil {
+		if err := m.pool.Release(now, s.alloc, s.allocID); err != nil {
 			panic(fmt.Sprintf("resmgr %s: cancel hold: %v", m.name, err))
 		}
 		m.listRemove(&m.holding, j)
@@ -689,7 +690,7 @@ func (m *Manager) Cancel(id job.ID) error {
 	case job.Running:
 		s := &m.slots[j.Slot]
 		s.end.Cancel()
-		if err := m.pool.Release(now, s.alloc); err != nil {
+		if err := m.pool.Release(now, s.alloc, s.allocID); err != nil {
 			panic(fmt.Sprintf("resmgr %s: cancel run: %v", m.name, err))
 		}
 		m.runReleaseDrop(s)
@@ -794,10 +795,9 @@ func (m *Manager) Iterate(now sim.Time) {
 		// permutation — skip the score-and-sort entirely.
 		ordered = eligible
 	case m.indexedQueue:
-		// Sort in place: the storage still holds the last iteration's
-		// order, so the adaptive sort mostly confirms it. eligible is
-		// either the queue itself (refresh the slot positions) or the
-		// exclusion buffer copied from it.
+		// Sort in place: storage order is free in indexed mode, so no
+		// copy is needed. eligible is either the queue itself (refresh
+		// the slot positions) or the exclusion buffer copied from it.
 		m.ord.Sort(m.pol, eligible, now, m.boostFn)
 		if excluded == 0 {
 			for i, j := range eligible {
@@ -1061,13 +1061,13 @@ func (m *Manager) startJobAt(j *job.Job, at, now sim.Time) {
 		return
 	}
 	if err := j.Advance(job.Running); err != nil {
-		_ = m.pool.Release(now, alloc)
+		_ = m.pool.Release(now, alloc, alloc.ID)
 		panic(fmt.Sprintf("resmgr %s: startJob: %v", m.name, err))
 	}
 	j.StartTime = at
 	m.removeFromQueue(j)
 	s := &m.slots[j.Slot]
-	s.alloc = alloc
+	s.alloc, s.allocID = alloc, alloc.ID
 	m.runReleaseAdd(s)
 	s.end = m.eng.AfterArg(j.Runtime, sim.PriorityEnd, m.completeFn, j)
 	m.listAdd(&m.running, j)
@@ -1088,7 +1088,7 @@ func (m *Manager) startHeldJobAt(j *job.Job, at, now sim.Time) error {
 	if s == nil || j.State != job.Holding {
 		return fmt.Errorf("%w: job %d not holding", ErrBadState, j.ID)
 	}
-	if _, err := m.pool.Convert(now, s.alloc, cluster.AllocRun); err != nil {
+	if _, err := m.pool.Convert(now, s.alloc, s.allocID, cluster.AllocRun); err != nil {
 		return err
 	}
 	m.listRemove(&m.holding, j)
@@ -1113,13 +1113,14 @@ func (m *Manager) holdJob(j *job.Job, now sim.Time) {
 		return // lost the nodes inside this iteration; stay queued
 	}
 	if err := j.Advance(job.Holding); err != nil {
-		_ = m.pool.Release(now, alloc)
+		_ = m.pool.Release(now, alloc, alloc.ID)
 		panic(fmt.Sprintf("resmgr %s: holdJob: %v", m.name, err))
 	}
 	j.HoldStart = now
 	j.HoldCount++
 	m.removeFromQueue(j)
-	m.slots[j.Slot].alloc = alloc
+	s := &m.slots[j.Slot]
+	s.alloc, s.allocID = alloc, alloc.ID
 	m.listAdd(&m.holding, j)
 	m.obs.JobHeld(now, j)
 	m.scheduleReleaseScan()
@@ -1182,7 +1183,7 @@ func (m *Manager) releaseScanFire(now sim.Time) {
 	for _, j := range due {
 		s := &m.slots[j.Slot]
 		j.HeldNodeSeconds += int64(s.alloc.Allocated) * (now - j.HoldStart)
-		if err := m.pool.Release(now, s.alloc); err != nil {
+		if err := m.pool.Release(now, s.alloc, s.allocID); err != nil {
 			panic(fmt.Sprintf("resmgr %s: release scan: %v", m.name, err))
 		}
 		s.alloc = nil
@@ -1216,7 +1217,7 @@ func (m *Manager) completeJob(j *job.Job, now sim.Time) {
 	if s == nil || j.State != job.Running {
 		return
 	}
-	if err := m.pool.Release(now, s.alloc); err != nil {
+	if err := m.pool.Release(now, s.alloc, s.allocID); err != nil {
 		panic(fmt.Sprintf("resmgr %s: completeJob: %v", m.name, err))
 	}
 	m.runReleaseDrop(s)

@@ -47,7 +47,8 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 		}
 		m.addJob(j)
 		m.bind(j)
-		m.slots[j.Slot].alloc = alloc
+		s := &m.slots[j.Slot]
+		s.alloc, s.allocID = alloc, alloc.ID
 		m.listAdd(&m.holding, j)
 		m.scheduleReleaseScan()
 	case job.Running:
@@ -68,7 +69,7 @@ func (m *Manager) RestoreJob(j *job.Job) error {
 		}
 		m.bind(j)
 		s := &m.slots[j.Slot]
-		s.alloc, s.end = alloc, ref
+		s.alloc, s.allocID, s.end = alloc, alloc.ID, ref
 		m.runReleaseAdd(s)
 		m.listAdd(&m.running, j)
 	case job.Completed:
@@ -94,7 +95,7 @@ func (m *Manager) releaseHold(j *job.Job, now sim.Time) {
 		return
 	}
 	j.HeldNodeSeconds += int64(s.alloc.Allocated) * (now - j.HoldStart)
-	if err := m.pool.Release(now, s.alloc); err != nil {
+	if err := m.pool.Release(now, s.alloc, s.allocID); err != nil {
 		panic(fmt.Sprintf("resmgr %s: reconcile release: %v", m.name, err))
 	}
 	s.alloc = nil

@@ -278,6 +278,22 @@ func TestRestoreRunningJobPastDeadlineCompletesImmediately(t *testing.T) {
 	}
 }
 
+// A journal-recovered queued job carries the YieldCount of its earlier
+// life, but it has not yielded in this manager: the same-instant yield
+// exclusion must not drop it, so the first iteration at t=0 starts it.
+func TestRestoreQueuedYielderStartsOnFirstIteration(t *testing.T) {
+	cfg := cosched.DefaultConfig(cosched.Hold)
+	eng, a, _ := pairDomains(t, 16, 16, cfg, cfg)
+	j := job.New(1, 4, 0, 600, 600)
+	j.State = job.Queued
+	j.YieldCount = 2
+	restoreAll(t, a, j)
+	a.Iterate(eng.Now())
+	if j.State != job.Running || j.StartTime != 0 {
+		t.Fatalf("state = %s, start = %d; want Running at 0", j.State, j.StartTime)
+	}
+}
+
 // TestReconcileBothDaemonsRestartSimultaneously models the coupled-outage
 // recovery: both daemons come back from their journals at once and each
 // initiates reconciliation with the other (the order is a race). Whatever
